@@ -6,7 +6,8 @@
 # usage: ci/service_smoke.sh [path-to-gpuscaled-binary]
 #
 # Exit codes: 0 service served and drained cleanly, 1 any call failed,
-# the daemon never loaded its census, or the drain did not exit 0.
+# the daemon never loaded its census, a census refresh grew the
+# journal, or the drain did not exit 0.
 set -euo pipefail
 
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -54,6 +55,20 @@ kernels=$("$gpuscaled" --socket="$sock" call census |
 echo "service_smoke: census reports ${kernels:-0} kernels"
 [ "${kernels:-0}" -gt 0 ] || { echo "service_smoke: empty census" >&2
                                exit 1; }
+
+# A refresh re-runs the census over the journal the daemon opened at
+# startup; every kernel is already journaled, so it must append
+# nothing.
+journal="$tmp/census.journal"
+before=$(wc -c < "$journal")
+"$gpuscaled" --socket="$sock" --client=smoke call census refresh=true |
+    grep -q '"ok":true'
+after=$(wc -c < "$journal")
+if [ "$after" -ne "$before" ]; then
+    echo "service_smoke: census refresh grew the journal" \
+        "($before -> $after bytes)" >&2
+    exit 1
+fi
 
 "$gpuscaled" --socket="$sock" --client=smoke call classify \
     kernel=rodinia/hotspot/calculate_temp | grep -q '"ok":true'

@@ -80,7 +80,7 @@ using FaultObserver = void (*)(FaultKind kind, const char *site);
  * Grammar: `site:rate[:kind[:delay_ms]]` entries separated by commas;
  * kind is `throw` (default), `io`, or `delay`.  Example:
  *
- *     sweep_cache.disk.read:0.1:io,sweep.kernel:1:delay:20
+ *     checkpoint.append:0.1:io,sweep.kernel:1:delay:20
  *
  * @return the specs, or nullopt with a diagnostic in *error.
  */

@@ -142,7 +142,7 @@ struct ConfigGrid {
 
     /**
      * Locale-independent serialization of the axes and the base
-     * configuration's swept knobs, for sweep-cache keys.  Two grids
+     * configuration's swept knobs, for sweep cache keys.  Two grids
      * with equal fingerprints produce identical configuration
      * sequences.
      */

@@ -73,7 +73,7 @@ class PerfModel
     virtual std::string name() const = 0;
 
     /**
-     * Identity string for sweep-cache keys: two models with equal,
+     * Identity string for sweep cache keys: two models with equal,
      * non-empty fingerprints must produce identical estimates for
      * identical inputs.  An empty string marks the model uncacheable,
      * and is the default — a model must opt in by folding its name

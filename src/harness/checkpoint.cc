@@ -309,7 +309,7 @@ void
 CensusJournal::record(const std::string &kernel,
                       const std::vector<double> &runtimes)
 {
-    if (fd_ < 0)
+    if (fd_ < 0 || loaded_.count(kernel) != 0)
         return;
 
     const std::string_view body(
@@ -326,14 +326,19 @@ CensusJournal::record(const std::string &kernel,
     const std::string head = recordLine(meta);
 
     std::lock_guard<std::mutex> lock(append_mutex_);
+    if (appended_.count(kernel) != 0)
+        return;
     if (faultPoint("checkpoint.append")) {
         // Dropping a record only costs a re-run of this kernel on
         // the next resume; stopping the census would cost the run.
+        // The name stays out of appended_, so the next census over
+        // this journal retries it.
         warn("checkpoint: failed to append record for %s",
              kernel.c_str());
         obs::noteDegradation("checkpoint.append");
         return;
     }
+    appended_.insert(kernel);
     pending_ += head;
     pending_ += body;
     pending_ += '\n';

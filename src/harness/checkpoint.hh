@@ -65,6 +65,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace gpuscale {
@@ -106,7 +107,11 @@ class CensusJournal
     /**
      * Append one completed kernel.  Thread-safe; a failed append
      * degrades (the kernel is simply re-run on the next resume) and
-     * is counted, never fatal.
+     * is counted, never fatal.  A name the journal already holds —
+     * replayed at open or appended earlier by this process — is a
+     * no-op, so re-running a census over one journal (the daemon's
+     * refresh) writes nothing.  Records are keyed by name alone
+     * because the header pins the model and grid.
      */
     void record(const std::string &kernel,
                 const std::vector<double> &runtimes);
@@ -140,11 +145,16 @@ class CensusJournal
     int fd_ = -1;
 
     // Serializes appends from sweepKernels() workers so records
-    // never interleave mid-line; the buffer is tied to it by
-    // guarded_by (enforced by the lock-discipline rule).
+    // never interleave mid-line; the buffer and the appended-name set
+    // are tied to it by guarded_by (enforced by the lock-discipline
+    // rule).
     std::mutex append_mutex_;
     // guarded_by(append_mutex_)
     std::string pending_;
+    // Names only, not runtimes: the runtimes already live in the
+    // caller's census, and a second copy would double its footprint.
+    // guarded_by(append_mutex_)
+    std::unordered_set<std::string> appended_;
 };
 
 } // namespace harness

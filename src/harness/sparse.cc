@@ -11,6 +11,7 @@
 
 #include "base/fault.hh"
 #include "base/logging.hh"
+#include "checkpoint.hh"
 #include "gpu/kernel_desc.hh"
 #include "obs/metrics.hh"
 #include "obs/sharded.hh"
@@ -72,9 +73,27 @@ sparseKeyFor(const gpu::PerfModel &model, const gpu::KernelDesc &kernel,
 }
 
 /**
- * The measured plan round-trips through the cache as a flat
- * [index, runtime, index, runtime, ...] double vector; indices are
- * grid positions (< 4096 on the paper grid), far inside double's
+ * Journal record name for one kernel's sample plan.  The journal
+ * header already pins the model and grid; the name adds the plan
+ * inputs.  It must not contain '|', which ends the name in the
+ * journal's record framing (checkpoint.hh), and it cannot collide
+ * with a dense record, which is the bare kernel name.
+ */
+std::string
+sparseRecordName(const gpu::KernelDesc &kernel,
+                 const SparseCensusOptions &options)
+{
+    return kernel.name + "@sparse:" +
+           scaling::samplerKindName(options.sampler) +
+           ":k=" + std::to_string(options.samples) +
+           ":seed=" + std::to_string(options.seed) +
+           ":e=" + std::to_string(options.ensemble);
+}
+
+/**
+ * The measured plan round-trips through the cache and the journal as
+ * a flat [index, runtime, index, runtime, ...] double vector; indices
+ * are grid positions (< 4096 on the paper grid), far inside double's
  * exact-integer range.
  */
 std::vector<double>
@@ -118,7 +137,8 @@ sparseSweepKernel(const gpu::PerfModel &model,
                   const gpu::KernelDesc &kernel,
                   const scaling::SparsePredictor &predictor,
                   const SparseCensusOptions &options,
-                  const scaling::TaxonomyParams &params)
+                  const scaling::TaxonomyParams &params,
+                  CensusJournal *journal)
 {
     SparseMetrics &metrics = SparseMetrics::get();
     GPUSCALE_TRACE_SCOPE("sparse/" + kernel.name);
@@ -130,11 +150,19 @@ sparseSweepKernel(const gpu::PerfModel &model,
     const std::string key =
         sparseKeyFor(model, kernel, space.grid(), options);
 
+    const std::string record =
+        journal != nullptr ? sparseRecordName(kernel, options) : "";
+
     std::vector<size_t> indices;
     std::vector<double> runtimes;
     std::vector<double> packed;
-    bool measured = false;
-    if (!key.empty() && SweepCache::instance().lookup(key, packed) &&
+    // Journal first, as in the dense sweep: a replayed plan skips the
+    // cache, and recording it again below is a no-op.
+    bool measured =
+        journal != nullptr && journal->lookup(record, packed) &&
+        unpackSamples(packed, space.size(), indices, runtimes);
+    if (!measured && !key.empty() &&
+        SweepCache::instance().lookup(key, packed) &&
         unpackSamples(packed, space.size(), indices, runtimes))
     {
         measured = true;
@@ -163,13 +191,13 @@ sparseSweepKernel(const gpu::PerfModel &model,
                 runtimes.push_back(measureOne(flat));
             break;
         }
-        if (!key.empty()) {
-            SweepCache::instance().insert(
-                key, packSamples(indices, runtimes));
-        }
+        packed = packSamples(indices, runtimes);
+        SweepCache::instance().insert(key, packed);
         debuglog("sparse %s: %zu samples", kernel.name.c_str(),
                  indices.size());
     }
+    if (journal != nullptr)
+        journal->record(record, packed);
 
     metrics.samples.inc(indices.size());
 
@@ -188,7 +216,8 @@ runSparseCensus(const gpu::PerfModel &model,
                 std::optional<scaling::ConfigSpace> space,
                 const SparseCensusOptions &options,
                 const scaling::TaxonomyParams &params,
-                obs::ProgressReporter *progress)
+                obs::ProgressReporter *progress,
+                CensusJournal *journal)
 {
     GPUSCALE_TRACE_SCOPE("sparse_census");
     SparseCensusResult census{
@@ -226,7 +255,7 @@ runSparseCensus(const gpu::PerfModel &model,
         const size_t end = (shard + 1) * n / num_shards;
         for (size_t k = begin; k < end; ++k) {
             slots[k] = sparseSweepKernel(model, *kernels[k], predictor,
-                                         options, params);
+                                         options, params, journal);
             if (progress != nullptr)
                 progress->tick();
         }

@@ -11,8 +11,10 @@
  *
  * Harness concerns live here, not in the predictor: model calls, the
  * sweep cache (the sampled points of a (model, kernel, grid, plan)
- * are cache-keyed like full-sweep vectors, so a re-run measures
- * nothing), parallelFor sharding, and telemetry
+ * are cache-keyed like full-sweep vectors, so a re-run in the same
+ * process measures nothing), the census journal (one record per
+ * kernel plan, so a new process resumes a sparse census the way it
+ * resumes a dense one), parallelFor sharding, and telemetry
  * (sparse.samples.count / sparse.fit.latency / sparse.agreement).
  */
 
@@ -67,12 +69,18 @@ struct SparseCensusResult {
  * cached under the full-sweep key plus a plan suffix, so repeated
  * sparse runs — and the accuracy bench's budget curves — only pay
  * for the model once per (kernel, plan).
+ *
+ * @param journal optional census journal: a plan recorded there is
+ *        replayed instead of measured, and a measured plan is
+ *        recorded, under a per-plan record name (kernel, sampler, k,
+ *        seed, ensemble).
  */
 scaling::SparseReconstruction sparseSweepKernel(
     const gpu::PerfModel &model, const gpu::KernelDesc &kernel,
     const scaling::SparsePredictor &predictor,
     const SparseCensusOptions &options,
-    const scaling::TaxonomyParams &params = scaling::TaxonomyParams{});
+    const scaling::TaxonomyParams &params = scaling::TaxonomyParams{},
+    CensusJournal *journal = nullptr);
 
 /**
  * Run the sparse census over all zoo kernels: plan, measure, and
@@ -81,13 +89,16 @@ scaling::SparseReconstruction sparseSweepKernel(
  *
  * @param space grid to reconstruct (defaults to the paper grid).
  * @param progress optional reporter ticked once per kernel.
+ * @param journal optional census journal for crash-safe resume
+ *        (sparseSweepKernel()); it must be pinned to `space`'s grid.
  */
 SparseCensusResult runSparseCensus(
     const gpu::PerfModel &model,
     std::optional<scaling::ConfigSpace> space = std::nullopt,
     const SparseCensusOptions &options = SparseCensusOptions{},
     const scaling::TaxonomyParams &params = scaling::TaxonomyParams{},
-    obs::ProgressReporter *progress = nullptr);
+    obs::ProgressReporter *progress = nullptr,
+    CensusJournal *journal = nullptr);
 
 /**
  * Start a run manifest for a sparse census (model, kernel/grid

@@ -3,28 +3,16 @@
  * Keyed sweep cache.
  *
  * A full census sweeps the same (model, kernel, grid) triples over and
- * over: the CLI re-runs the paper grid on every invocation, the T3/T5
- * benches re-sweep identical kernels per iteration, and the A4 noise
- * study re-evaluates the clean baseline for every sigma.  The cache
- * keys a sweep's runtime vector by the model fingerprint, the complete
- * kernel descriptor, and the grid fingerprint, so any repeat is a
- * lookup instead of a recompute.
+ * over: the T3/T5 benches re-sweep identical kernels per iteration,
+ * the A4 noise study re-evaluates the clean baseline for every sigma,
+ * and the daemon's census refresh re-sweeps the zoo it already holds.
+ * The cache keys a sweep's runtime vector by the model fingerprint,
+ * the complete kernel descriptor, and the grid fingerprint, so any
+ * repeat within a process is a lookup instead of a recompute.
  *
- * Two layers:
- *  - an in-memory map (process lifetime, bounded FIFO), and
- *  - an optional on-disk directory (setDirectory()), which is what
- *    lets a *second CLI invocation* of the same sweep hit.
- *
- * Doubles round-trip exactly through the disk layer
- * (gpu::serializeRuntimes / parseRuntimes), so a cache hit is bitwise
- * identical to the recompute it replaced.
- *
- * Disk failures never fail a sweep: transient I/O errors retry with
- * backoff (obs/retry.hh), then degrade — a read becomes a counted
- * miss, a write is dropped — and corrupt entries are discarded with a
- * warning (sweep.cache.{corrupt,read.degraded,write.degraded}).  The
- * sweep_cache.disk.{read,write} fault-injection sites test exactly
- * these paths (docs/fault_tolerance.md).
+ * The cache is process-local and in memory only (bounded FIFO).
+ * Cross-process reuse — resuming a dense or sparse census in a new
+ * process — is the census journal's job (checkpoint.hh).
  */
 
 #ifndef GPUSCALE_HARNESS_SWEEP_CACHE_HH
@@ -62,8 +50,7 @@ class SweepCache
                               const gpu::ConfigGrid &grid);
 
     /**
-     * Look up a sweep.  Checks memory first, then the disk layer (a
-     * disk hit is promoted into memory).  An empty key always misses.
+     * Look up a sweep.  An empty key always misses.
      *
      * @return true and fill `runtimes` on a hit.
      */
@@ -73,33 +60,17 @@ class SweepCache
     void insert(const std::string &key,
                 const std::vector<double> &runtimes);
 
-    /**
-     * Attach a disk layer rooted at `dir` (created if missing); an
-     * empty string detaches it.  Entries are one file per key, written
-     * atomically (temp + rename), so concurrent processes sharing a
-     * directory never read torn files.
-     */
-    void setDirectory(const std::string &dir);
-
-    /** Drop every in-memory entry (the disk layer is untouched). */
+    /** Drop every entry. */
     void clear();
 
-    /** In-memory entry count. */
+    /** Entry count. */
     size_t entries() const;
 
   private:
     SweepCache() = default;
 
-    bool diskLookup(const std::string &key,
-                    std::vector<double> &runtimes);
-    void diskInsert(const std::string &key,
-                    const std::vector<double> &runtimes);
-    std::string diskPath(const std::string &key) const;
-    void rememberLocked(const std::string &key,
-                        const std::vector<double> &runtimes);
-
     /**
-     * In-memory entries are bounded: a census caches one entry per
+     * Entries are bounded: a census caches one entry per
      * kernel (267 on the paper suite), so the cap only matters for
      * pathological callers sweeping unbounded kernel populations.
      */
@@ -113,8 +84,6 @@ class SweepCache
     std::unordered_map<std::string, std::vector<double>> map_;
     // guarded_by(mutex_)
     std::deque<std::string> fifo_;
-    // guarded_by(mutex_)
-    std::string dir_;
 };
 
 } // namespace harness

@@ -43,14 +43,11 @@
  *                         `gpuscale-stat blackbox BASE.ring` reads
  *                         the ring post-mortem.
  *   --progress            live progress line on stderr during sweeps.
- *   --sweep-cache=DIR     persist sweep results under DIR so repeat
- *                         invocations of the same sweep hit the cache
- *                         instead of recomputing (sweep.cache.hits in
- *                         the metrics snapshot shows the effect).
- *   --checkpoint=DIR      journal census shard results under DIR; a
- *                         rerun after a crash (or kill -9) replays
- *                         finished shards from the journal and only
- *                         recomputes the rest.
+ *   --checkpoint=DIR      journal census results (dense sweeps or
+ *                         sparse sample plans) under DIR; a rerun —
+ *                         after a crash, a kill -9, or a clean exit —
+ *                         replays finished kernels from the journal
+ *                         and only recomputes the rest.
  *
  * Fault-tolerance environment (see docs/fault_tolerance.md):
  *   GPUSCALE_FAULTS       seeded fault-injection plan
@@ -60,8 +57,8 @@
  *
  * Exit codes: 0 success, 1 runtime failure, 2 unknown command or
  * malformed GPUSCALE_FAULTS plan, 3 bad arguments, 4 success but
- * degraded (faults were absorbed — cache misses, skipped CSV rows,
- * or checkpoint records lost; degradation.events in the metrics
+ * degraded (faults were absorbed — skipped CSV rows or checkpoint
+ * records lost; degradation.events in the metrics
  * snapshot counts them) — scripted drivers can tell a typo'd
  * subcommand from a malformed invocation from a lossy-but-complete
  * run.  Exit 5 is reserved for service startup failure and only
@@ -86,7 +83,6 @@
 #include "harness/experiment.hh"
 #include "harness/noise.hh"
 #include "harness/sparse.hh"
-#include "harness/sweep_cache.hh"
 #include "obs/exporter.hh"
 #include "obs/fault_telemetry.hh"
 #include "obs/flight_recorder.hh"
@@ -116,7 +112,6 @@ struct CliOptions {
     std::string metrics_jsonl = "metrics.jsonl";
     std::string exposition_file;
     std::string flight_recorder_base;
-    std::string sweep_cache_dir;
     std::string checkpoint_dir;
     unsigned metrics_interval_ms = 0;
     bool progress = false;
@@ -129,6 +124,26 @@ struct CliOptions {
 };
 
 void usage();
+
+/**
+ * Open the --checkpoint journal, if one was asked for.  The journal
+ * pins the exact model and grid it was written against, so callers
+ * pass the same grid to the census itself.
+ */
+void
+openJournal(const CliOptions &opts, const gpu::PerfModel &model,
+            const scaling::ConfigSpace &space,
+            std::optional<harness::CensusJournal> &journal)
+{
+    if (opts.checkpoint_dir.empty())
+        return;
+    journal.emplace(opts.checkpoint_dir, model.fingerprint(),
+                    space.grid().fingerprint());
+    if (journal->loadedRecords() > 0) {
+        inform("checkpoint: replaying %zu finished kernel(s) from %s",
+               journal->loadedRecords(), journal->path().c_str());
+    }
+}
 
 int
 runCensusCmd(double sigma, const CliOptions &opts,
@@ -148,19 +163,9 @@ runCensusCmd(double sigma, const CliOptions &opts,
     obs::ProgressReporter progress("census", num_kernels,
                                    opts.progress);
 
-    // The journal pins the exact model and grid it was written
-    // against; pass the grid explicitly so both runCensus and the
-    // journal header agree on the fingerprint.
     const auto space = scaling::ConfigSpace::paperGrid();
     std::optional<harness::CensusJournal> journal;
-    if (!opts.checkpoint_dir.empty()) {
-        journal.emplace(opts.checkpoint_dir, model.fingerprint(),
-                        space.grid().fingerprint());
-        if (journal->loadedRecords() > 0) {
-            inform("checkpoint: replaying %zu finished shards from %s",
-                   journal->loadedRecords(), journal->path().c_str());
-        }
-    }
+    openJournal(opts, model, space, journal);
 
     const auto census =
         harness::runCensus(model, space, scaling::TaxonomyParams{},
@@ -264,9 +269,14 @@ runSparseCensusCmd(double sigma, const CliOptions &opts,
     obs::ProgressReporter progress("census", num_kernels,
                                    opts.progress);
 
+    std::optional<harness::CensusJournal> journal;
+    openJournal(opts, model, space, journal);
     const auto census = harness::runSparseCensus(
-        model, space, sparse, scaling::TaxonomyParams{}, &progress);
+        model, space, sparse, scaling::TaxonomyParams{}, &progress,
+        journal ? &*journal : nullptr);
     progress.finish();
+    if (journal)
+        journal->sync();
 
     std::fputs(scaling::classHistogramTable(census.classifications)
                    .render().c_str(),
@@ -423,7 +433,6 @@ usage()
         "BASE.ring,\n"
         "                       dump at BASE.json on crash/degrade\n"
         "  --progress           live sweep progress on stderr\n"
-        "  --sweep-cache=DIR    persistent sweep cache directory\n"
         "  --checkpoint=DIR     crash-safe census journal directory\n"
         "  --sparse=K           census: measure only K configs per\n"
         "                       kernel, reconstruct the rest\n"
@@ -498,8 +507,6 @@ main(int argc, char **argv)
             opts.exposition_file = arg.substr(13);
         } else if (arg.rfind("--flight-recorder=", 0) == 0) {
             opts.flight_recorder_base = arg.substr(18);
-        } else if (arg.rfind("--sweep-cache=", 0) == 0) {
-            opts.sweep_cache_dir = arg.substr(14);
         } else if (arg.rfind("--checkpoint=", 0) == 0) {
             opts.checkpoint_dir = arg.substr(13);
         } else if (arg == "--progress") {
@@ -585,9 +592,6 @@ main(int argc, char **argv)
         obs::MetricsExporter::start(opts.metrics_jsonl,
                                     opts.metrics_interval_ms);
     }
-    if (!opts.sweep_cache_dir.empty())
-        harness::SweepCache::instance().setDirectory(
-            opts.sweep_cache_dir);
 
     const std::string cmd = args[0];
     int rc;
@@ -608,18 +612,6 @@ main(int argc, char **argv)
             sigma = *parsed;
         }
         if (opts.sparse_samples > 0) {
-            if (!opts.checkpoint_dir.empty()) {
-                // The census journal records full-sweep shards; a
-                // sparse census measures per-plan points, so a
-                // replayed journal would silently hand it dense
-                // vectors.  The sweep cache covers sparse resumption
-                // instead.
-                std::fprintf(stderr,
-                             "census: --checkpoint is incompatible "
-                             "with --sparse (use --sweep-cache)\n");
-                usage();
-                return kExitBadArguments;
-            }
             rc = runSparseCensusCmd(sigma, opts, argv_record);
         } else {
             if (opts.sampler_given || opts.sparse_seed != 0) {

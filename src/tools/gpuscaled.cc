@@ -23,7 +23,6 @@
  *   --test-grid           3x3x3 grid instead of the 891-point paper
  *                         grid (CI smoke and tests)
  *   --checkpoint=DIR      crash-safe census journal directory
- *   --sweep-cache=DIR     persistent sweep cache directory
  *   --max-inflight=N      admission bound on in-flight requests
  *                         (default 64)
  *   --client-quota=N      per-client share of the bound (default 16)
@@ -62,7 +61,6 @@
 #include "base/logging.hh"
 #include "base/string_util.hh"
 #include "gpu/analytic_model.hh"
-#include "harness/sweep_cache.hh"
 #include "obs/exporter.hh"
 #include "obs/fault_telemetry.hh"
 #include "obs/flight_recorder.hh"
@@ -92,7 +90,6 @@ struct DaemonOptions {
     std::string metrics_jsonl = "metrics.jsonl";
     std::string exposition_file;
     std::string flight_recorder_base;
-    std::string sweep_cache_dir;
     std::string client_name;
     double call_deadline_ms = 5000.0;
 };
@@ -114,7 +111,6 @@ usage()
         "  --test-grid          3x3x3 grid instead of the paper "
         "grid\n"
         "  --checkpoint=DIR     crash-safe census journal directory\n"
-        "  --sweep-cache=DIR    persistent sweep cache directory\n"
         "  --max-inflight=N     admission bound (default 64)\n"
         "  --client-quota=N     per-client bound share (default 16)\n"
         "  --deadline-ms=MS     default request deadline (5000)\n"
@@ -275,8 +271,6 @@ main(int argc, char **argv)
             opts.service.test_grid = true;
         } else if (arg.rfind("--checkpoint=", 0) == 0) {
             opts.service.checkpoint_dir = arg.substr(13);
-        } else if (arg.rfind("--sweep-cache=", 0) == 0) {
-            opts.sweep_cache_dir = arg.substr(14);
         } else if (sizeFlag("--max-inflight",
                             &opts.service.max_inflight)) {
             if (opts.service.max_inflight == 0) {
@@ -390,9 +384,6 @@ main(int argc, char **argv)
         obs::MetricsExporter::start(opts.metrics_jsonl,
                                     metrics_interval_ms);
     }
-    if (!opts.sweep_cache_dir.empty())
-        harness::SweepCache::instance().setDirectory(
-            opts.sweep_cache_dir);
 
     const std::string cmd = args[0];
     int rc;

@@ -32,12 +32,12 @@ TEST_F(FaultTest, ParsesFullPlanGrammar)
 {
     std::string error;
     const auto plan = parseFaultPlan(
-        "sweep_cache.disk.read:0.1:io, sweep.kernel:1:delay:20",
+        "checkpoint.append:0.1:io, sweep.kernel:1:delay:20",
         &error);
     ASSERT_TRUE(plan.has_value()) << error;
     ASSERT_EQ(plan->size(), 2u);
 
-    EXPECT_EQ((*plan)[0].site, "sweep_cache.disk.read");
+    EXPECT_EQ((*plan)[0].site, "checkpoint.append");
     EXPECT_DOUBLE_EQ((*plan)[0].rate, 0.1);
     EXPECT_EQ((*plan)[0].kind, FaultKind::IoError);
 

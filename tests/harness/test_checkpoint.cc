@@ -1,9 +1,10 @@
 /**
  * @file
  * CensusJournal unit tests: bitwise round trip, header pinning,
- * group-commit flush visibility, and the three corruption responses
+ * group-commit flush visibility, the three corruption responses
  * (mangled metadata stops replay, a bad body checksum skips one
- * record, a torn tail stops replay).
+ * record, a torn tail stops replay), and record-once semantics (a
+ * repeat census over one journal appends nothing).
  */
 
 #include <gtest/gtest.h>
@@ -16,8 +17,13 @@
 #include <string>
 #include <vector>
 
+#include "base/fault.hh"
+#include "gpu/analytic_model.hh"
 #include "harness/checkpoint.hh"
+#include "harness/experiment.hh"
+#include "harness/sweep_cache.hh"
 #include "obs/metrics.hh"
+#include "scaling/config_space.hh"
 #include "support/temp_dir.hh"
 
 namespace gpuscale {
@@ -202,6 +208,74 @@ TEST(Checkpoint, TornTailStopsReplayAndKeepsThePrefix)
     EXPECT_TRUE(reopened.lookup("bbb", out));
     EXPECT_FALSE(reopened.lookup("ccc", out));
     EXPECT_EQ(counterValue("checkpoint.corrupt"), corrupt0 + 1);
+}
+
+TEST(Checkpoint, RepeatCensusOverOneJournalAppendsNothing)
+{
+    // The daemon's census refresh re-runs the census over the journal
+    // it opened at startup, with a warm sweep cache.  Every kernel is
+    // already journaled, so the refresh must not append duplicates.
+    test::ScopedTempDir dir("ckpt_repeat");
+    const std::string path = dir.path() + "/census.journal";
+    const gpu::AnalyticModel model;
+    const auto space = scaling::ConfigSpace::testGrid();
+    harness::SweepCache::instance().clear();
+
+    harness::CensusJournal journal(dir.path(), model.fingerprint(),
+                                   space.grid().fingerprint());
+    ASSERT_TRUE(journal.active());
+    const auto first = harness::runCensus(
+        model, space, scaling::TaxonomyParams{}, nullptr, &journal);
+    journal.flush();
+    const uint64_t records = counterValue("checkpoint.records");
+    const auto size = std::filesystem::file_size(path);
+
+    const auto second = harness::runCensus(
+        model, space, scaling::TaxonomyParams{}, nullptr, &journal);
+    journal.flush();
+    EXPECT_EQ(counterValue("checkpoint.records"), records);
+    EXPECT_EQ(std::filesystem::file_size(path), size);
+    ASSERT_EQ(second.surfaces.size(), first.surfaces.size());
+    for (size_t i = 0; i < first.surfaces.size(); ++i)
+        EXPECT_EQ(second.surfaces[i].runtimes(),
+                  first.surfaces[i].runtimes());
+    harness::SweepCache::instance().clear();
+}
+
+TEST(Checkpoint, ReplayedRecordIsNotReappended)
+{
+    test::ScopedTempDir dir("ckpt_replayed");
+    const std::string path = dir.path() + "/census.journal";
+    writeSampleJournal(dir.path());
+    const auto size = std::filesystem::file_size(path);
+
+    {
+        harness::CensusJournal reopened(dir.path(), "m1", "g1");
+        for (const auto &[kernel, runtimes] : sampleRecords())
+            reopened.record(kernel, runtimes);
+    }
+    EXPECT_EQ(std::filesystem::file_size(path), size);
+}
+
+TEST(Checkpoint, DroppedAppendIsRetriedByTheNextRecord)
+{
+    test::ScopedTempDir dir("ckpt_retry");
+    {
+        harness::CensusJournal journal(dir.path(), "m1", "g1");
+        ASSERT_TRUE(journal.active());
+        FaultInjector::instance().arm(
+            {{"checkpoint.append", 1.0, FaultKind::IoError, 0.0}}, 1);
+        journal.record("k", {1.0, 2.0});
+        FaultInjector::instance().disarm();
+
+        // The dropped record was never appended, so the same name
+        // goes through on the next attempt.
+        const uint64_t records = counterValue("checkpoint.records");
+        journal.record("k", {1.0, 2.0});
+        EXPECT_EQ(counterValue("checkpoint.records"), records + 1);
+    }
+    harness::CensusJournal reopened(dir.path(), "m1", "g1");
+    EXPECT_EQ(reopened.loadedRecords(), 1u);
 }
 
 } // namespace

@@ -1,9 +1,9 @@
 /**
  * @file
  * Fault-injection census: with a 10% injected I/O fault rate on the
- * sweep-cache disk sites and retries disabled, the census must
- * degrade (counted, absorbed) while every classification and surface
- * stays bitwise identical to a clean run.
+ * census-journal sites and retries disabled, a journaled census and
+ * its replay must degrade (counted, absorbed) while every
+ * classification and surface stays bitwise identical to a clean run.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 
 #include "base/fault.hh"
 #include "gpu/analytic_model.hh"
+#include "harness/checkpoint.hh"
 #include "harness/experiment.hh"
 #include "harness/sweep_cache.hh"
 #include "obs/fault_telemetry.hh"
@@ -35,29 +36,39 @@ TEST(FaultCensus, DiskFaultsDegradeButNeverChangeResults)
     const gpu::AnalyticModel model;
     const auto space = scaling::ConfigSpace::testGrid();
 
-    // Reference: no cache directory, no faults.
+    // Reference: no journal, no faults.
     const auto clean = harness::runCensus(model, space);
 
-    // Faulty run: disk cache enabled, every disk read/write probe
+    // Faulty runs: every journal probe (open, load, append, flush)
     // fails with 10% probability, and retries are disabled so every
-    // injected fault must exhaust straight into degradation.
-    test::ScopedTempDir cache_dir("fault_census_cache");
-    harness::SweepCache::instance().setDirectory(cache_dir.path());
-    harness::SweepCache::instance().clear();
+    // injected fault must exhaust straight into degradation.  The
+    // first run writes the journal, the second replays what
+    // survived; each opens its own journal as a new process would,
+    // with a cold sweep cache.
+    test::ScopedTempDir journal_dir("fault_census_journal");
     const obs::RetryPolicy saved = obs::retryPolicy();
     obs::RetryPolicy no_retry = saved;
     no_retry.max_attempts = 1;
     obs::setRetryPolicy(no_retry);
     FaultInjector::instance().arm(
-        {{"sweep_cache.disk.*", 0.1, FaultKind::IoError, 0.0}}, 42);
+        {{"checkpoint.*", 0.1, FaultKind::IoError, 0.0}}, 42);
 
     const uint64_t degraded0 = obs::degradationCount();
     const uint64_t injected0 = counterValue("fault.injected.io");
-    const auto faulty = harness::runCensus(model, space);
+    const auto journaled = [&] {
+        harness::SweepCache::instance().clear();
+        harness::CensusJournal journal(journal_dir.path(),
+                                       model.fingerprint(),
+                                       space.grid().fingerprint());
+        return harness::runCensus(model, space,
+                                  scaling::TaxonomyParams{}, nullptr,
+                                  &journal);
+    };
+    const auto written = journaled();
+    const auto replayed = journaled();
 
     FaultInjector::instance().disarm();
     obs::setRetryPolicy(saved);
-    harness::SweepCache::instance().setDirectory("");
     harness::SweepCache::instance().clear();
 
     // The campaign must actually have fired and been absorbed...
@@ -65,24 +76,26 @@ TEST(FaultCensus, DiskFaultsDegradeButNeverChangeResults)
     EXPECT_GT(obs::degradationCount(), degraded0);
 
     // ...without perturbing a single output bit.
-    ASSERT_EQ(faulty.classifications.size(),
-              clean.classifications.size());
-    for (size_t i = 0; i < clean.classifications.size(); ++i) {
-        const auto &c = clean.classifications[i];
-        const auto &f = faulty.classifications[i];
-        EXPECT_EQ(f.kernel, c.kernel);
-        EXPECT_EQ(f.cls, c.cls) << c.kernel;
-        EXPECT_EQ(f.perf_range, c.perf_range) << c.kernel;
-        EXPECT_EQ(f.cu90, c.cu90) << c.kernel;
-    }
-    ASSERT_EQ(faulty.surfaces.size(), clean.surfaces.size());
-    for (size_t i = 0; i < clean.surfaces.size(); ++i) {
-        ASSERT_EQ(faulty.surfaces[i].runtimes().size(),
-                  clean.surfaces[i].runtimes().size());
-        for (size_t j = 0; j < clean.surfaces[i].runtimes().size();
-             ++j)
-            EXPECT_EQ(faulty.surfaces[i].runtimes()[j],
-                      clean.surfaces[i].runtimes()[j]);
+    for (const auto *faulty : {&written, &replayed}) {
+        ASSERT_EQ(faulty->classifications.size(),
+                  clean.classifications.size());
+        for (size_t i = 0; i < clean.classifications.size(); ++i) {
+            const auto &c = clean.classifications[i];
+            const auto &f = faulty->classifications[i];
+            EXPECT_EQ(f.kernel, c.kernel);
+            EXPECT_EQ(f.cls, c.cls) << c.kernel;
+            EXPECT_EQ(f.perf_range, c.perf_range) << c.kernel;
+            EXPECT_EQ(f.cu90, c.cu90) << c.kernel;
+        }
+        ASSERT_EQ(faulty->surfaces.size(), clean.surfaces.size());
+        for (size_t i = 0; i < clean.surfaces.size(); ++i) {
+            ASSERT_EQ(faulty->surfaces[i].runtimes().size(),
+                      clean.surfaces[i].runtimes().size());
+            for (size_t j = 0;
+                 j < clean.surfaces[i].runtimes().size(); ++j)
+                EXPECT_EQ(faulty->surfaces[i].runtimes()[j],
+                          clean.surfaces[i].runtimes()[j]);
+        }
     }
 }
 

@@ -224,7 +224,7 @@ TEST(FlightRecorderKillTest, AbortProducesCrashDump)
             _exit(10);
         FlightRecorder::installCrashDump(json);
         FlightRecorder::record("fault", "injected-io-fault",
-                               "site=sweep_cache.disk.read");
+                               "site=checkpoint.append");
         std::abort();
     }
 

@@ -6,8 +6,8 @@
  * fixed filenames under it can see a previous run's leftovers and has
  * to remember to clean them up.  ScopedTempDir creates a fresh
  * uniquely-named directory (honoring TMPDIR, falling back to the
- * system temp dir) and removes it on destruction, so disk-cache and
- * checkpoint tests never depend on prior state and never leak it.
+ * system temp dir) and removes it on destruction, so checkpoint
+ * tests never depend on prior state and never leak it.
  */
 
 #ifndef GPUSCALE_TESTS_SUPPORT_TEMP_DIR_HH
