@@ -40,7 +40,7 @@ anchorKernels()
 std::vector<gpu::GpuConfig>
 probeConfigs()
 {
-    const auto space = scaling::ConfigSpace::paperGrid();
+    const auto space = gpu::ConfigGrid::paperGrid();
     return {space.minConfig(), space.at(5, 4, 4), space.maxConfig()};
 }
 

@@ -42,17 +42,18 @@ anchors()
 }
 
 /**
- * A denser grid than ConfigSpace::testGrid() so curve shapes are
+ * A denser grid than gpu::ConfigGrid::testGrid() so curve shapes are
  * resolvable, but far smaller than the 891-point paper grid so the
  * event model stays affordable.
  */
-scaling::ConfigSpace
+gpu::ConfigGrid
 coarseGrid()
 {
-    return scaling::ConfigSpace(
-        {4, 12, 20, 28, 36, 44},
-        {200.0, 400.0, 600.0, 800.0, 1000.0},
-        {150.0, 425.0, 700.0, 975.0, 1250.0});
+    gpu::ConfigGrid grid;
+    grid.cu_values = {4, 12, 20, 28, 36, 44};
+    grid.core_clks_mhz = {200.0, 400.0, 600.0, 800.0, 1000.0};
+    grid.mem_clks_mhz = {150.0, 425.0, 700.0, 975.0, 1250.0};
+    return grid;
 }
 
 void

@@ -27,7 +27,7 @@ BM_PowerEvaluationGrid(benchmark::State &state)
     const auto *kernel =
         workloads::WorkloadRegistry::instance().findKernel(
             "rodinia/hotspot/calculate_temp");
-    const auto space = scaling::ConfigSpace::paperGrid();
+    const auto space = gpu::ConfigGrid::paperGrid();
     for (auto _ : state) {
         double acc = 0;
         for (size_t i = 0; i < space.size(); ++i) {

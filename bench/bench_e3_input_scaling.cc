@@ -24,7 +24,7 @@ BM_InputScalingStudy(benchmark::State &state)
     const auto *kernel =
         workloads::WorkloadRegistry::instance().findKernel(
             "rodinia/leukocyte/mgvf_kernel");
-    const auto space = scaling::ConfigSpace::paperGrid();
+    const auto space = gpu::ConfigGrid::paperGrid();
     for (auto _ : state) {
         auto result =
             scaling::studyInputScaling(model, *kernel, space);

@@ -44,7 +44,7 @@ emit()
         const auto curve = surface->freqCurveAtMax();
         const auto norm = normalizeToFirst(curve);
         chart.addSeries({scaling::taxonomyClassName(rep->cls),
-                         c.space.coreClks(), norm});
+                         c.space.core_clks_mhz, norm});
         std::printf("  %-20s %s: %.2fx (%s)\n",
                     scaling::taxonomyClassName(rep->cls).c_str(),
                     rep->kernel.c_str(), rep->freq.total_gain,

@@ -43,7 +43,7 @@ emit()
         const auto *surface = findSurface(c, rep->kernel);
         const auto norm = normalizeToFirst(surface->memCurveAtMax());
         chart.addSeries({scaling::taxonomyClassName(rep->cls),
-                         c.space.memClks(), norm});
+                         c.space.mem_clks_mhz, norm});
         std::printf("  %-20s %s: %.2fx (%s)\n",
                     scaling::taxonomyClassName(rep->cls).c_str(),
                     rep->kernel.c_str(), rep->mem.total_gain,

@@ -36,8 +36,8 @@ emit()
     bench::banner("F3", "performance vs compute units "
                         "(1000 MHz core, 1250 MHz memory)");
 
-    std::vector<double> cu_knob(c.space.cuValues().begin(),
-                                c.space.cuValues().end());
+    std::vector<double> cu_knob(c.space.cu_values.begin(),
+                                c.space.cu_values.end());
 
     LineChart chart("speedup over 4 CUs", "compute units",
                     "normalized performance");

@@ -38,9 +38,9 @@ printPlane(const harness::CensusResult &c, const std::string &kernel,
         return;
 
     std::vector<std::string> rows, cols;
-    for (const double clk : c.space.coreClks())
+    for (const double clk : c.space.core_clks_mhz)
         rows.push_back(formatDouble(clk, 0));
-    for (const double clk : c.space.memClks())
+    for (const double clk : c.space.mem_clks_mhz)
         cols.push_back(formatDouble(clk, 0));
 
     // Normalize to the plane's worst corner for readability.

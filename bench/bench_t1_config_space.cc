@@ -20,7 +20,7 @@ void
 BM_BuildPaperGrid(benchmark::State &state)
 {
     for (auto _ : state) {
-        auto space = scaling::ConfigSpace::paperGrid();
+        auto space = gpu::ConfigGrid::paperGrid();
         benchmark::DoNotOptimize(space.size());
     }
 }
@@ -29,7 +29,7 @@ BENCHMARK(BM_BuildPaperGrid);
 void
 BM_EnumerateConfigs(benchmark::State &state)
 {
-    const auto space = scaling::ConfigSpace::paperGrid();
+    const auto space = gpu::ConfigGrid::paperGrid();
     for (auto _ : state) {
         double acc = 0;
         for (size_t i = 0; i < space.size(); ++i)
@@ -44,7 +44,7 @@ BENCHMARK(BM_EnumerateConfigs);
 void
 emit()
 {
-    const auto space = scaling::ConfigSpace::paperGrid();
+    const auto space = gpu::ConfigGrid::paperGrid();
     bench::banner("T1", "hardware configuration space");
     std::fputs(scaling::configSpaceTable(space).render().c_str(),
                stdout);

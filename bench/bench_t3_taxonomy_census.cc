@@ -36,7 +36,7 @@ void
 BM_SingleKernelSweep(benchmark::State &state)
 {
     const gpu::AnalyticModel model;
-    const auto space = scaling::ConfigSpace::paperGrid();
+    const auto space = gpu::ConfigGrid::paperGrid();
     const auto *kernel =
         workloads::WorkloadRegistry::instance().findKernel(
             "rodinia/hotspot/calculate_temp");

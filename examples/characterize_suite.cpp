@@ -37,7 +37,7 @@ main(int argc, char **argv)
     }
 
     const gpu::AnalyticModel model;
-    const auto space = scaling::ConfigSpace::paperGrid();
+    const auto space = gpu::ConfigGrid::paperGrid();
     const auto surfaces = harness::sweepKernels(model, kernels, space);
     const auto classifications = scaling::classifyAll(surfaces);
 

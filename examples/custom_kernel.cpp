@@ -105,7 +105,7 @@ main(int argc, char **argv)
     std::printf("%s\n\n", kernel.describe().c_str());
 
     const gpu::AnalyticModel model;
-    const auto space = scaling::ConfigSpace::paperGrid();
+    const auto space = gpu::ConfigGrid::paperGrid();
     const auto surface = harness::sweepKernel(model, kernel, space);
     const auto cls = scaling::classifySurface(surface);
 
@@ -114,12 +114,12 @@ main(int argc, char **argv)
                 cls.perf_range);
 
     drawCurve("vs core clock (44 CU, 1250 MHz mem)", "MHz",
-              space.coreClks(), surface.freqCurveAtMax());
+              space.core_clks_mhz, surface.freqCurveAtMax());
     drawCurve("vs memory clock (44 CU, 1000 MHz core)", "MHz",
-              space.memClks(), surface.memCurveAtMax());
+              space.mem_clks_mhz, surface.memCurveAtMax());
     drawCurve("vs compute units (1000 MHz, 1250 MHz)", "CUs",
-              std::vector<double>(space.cuValues().begin(),
-                                  space.cuValues().end()),
+              std::vector<double>(space.cu_values.begin(),
+                                  space.cu_values.end()),
               surface.cuCurveAtMax());
 
     if (!out_path.empty()) {

@@ -23,8 +23,8 @@
 #include "base/math_util.hh"
 #include "base/table.hh"
 #include "gpu/analytic_model.hh"
+#include "gpu/config_grid.hh"
 #include "harness/sweep.hh"
-#include "scaling/config_space.hh"
 #include "workloads/registry.hh"
 
 namespace {
@@ -59,7 +59,7 @@ main(int argc, char **argv)
                 kernels.size());
 
     const gpu::AnalyticModel model;
-    const auto space = scaling::ConfigSpace::paperGrid();
+    const auto space = gpu::ConfigGrid::paperGrid();
     const auto surfaces = harness::sweepKernels(model, kernels, space);
 
     // Geomean speedup over the minimum configuration, per config.

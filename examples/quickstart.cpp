@@ -42,7 +42,7 @@ main()
     }
 
     // 3. Sweep the full 891-point grid and classify the scaling.
-    const auto space = scaling::ConfigSpace::paperGrid();
+    const auto space = gpu::ConfigGrid::paperGrid();
     const auto surface = harness::sweepKernel(model, kernel, space);
     const auto cls = scaling::classifySurface(surface);
 

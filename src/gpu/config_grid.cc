@@ -83,6 +83,33 @@ appendField(std::string &out, int v)
 
 } // namespace
 
+ConfigGrid
+ConfigGrid::paperGrid()
+{
+    ConfigGrid grid;
+    for (int cu = 4; cu <= 44; cu += 4)
+        grid.cu_values.push_back(cu); // 11 settings, 11x range
+
+    for (double clk = 200.0; clk <= 1000.0; clk += 100.0)
+        grid.core_clks_mhz.push_back(clk); // 9 settings, 5x range
+
+    for (int i = 0; i < 9; ++i) {
+        // 150..1250 MHz evenly spaced: an 8.33x bandwidth range.
+        grid.mem_clks_mhz.push_back(150.0 + i * (1250.0 - 150.0) / 8.0);
+    }
+    return grid;
+}
+
+ConfigGrid
+ConfigGrid::testGrid()
+{
+    ConfigGrid grid;
+    grid.cu_values = {4, 24, 44};
+    grid.core_clks_mhz = {200.0, 600.0, 1000.0};
+    grid.mem_clks_mhz = {150.0, 700.0, 1250.0};
+    return grid;
+}
+
 size_t
 ConfigGrid::flatten(size_t cu_i, size_t core_i, size_t mem_i) const
 {
@@ -107,6 +134,26 @@ ConfigGrid::at(size_t cu_i, size_t core_i, size_t mem_i) const
     return cfg;
 }
 
+GpuConfig
+ConfigGrid::at(size_t flat) const
+{
+    const AxisIndex idx = unflatten(flat);
+    return at(idx.cu, idx.core, idx.mem);
+}
+
+ConfigGrid::AxisIndex
+ConfigGrid::unflatten(size_t flat) const
+{
+    panic_if(flat >= size(), "flat index %zu out of range (size %zu)",
+             flat, size());
+    AxisIndex idx{};
+    idx.mem = flat % numMemClk();
+    flat /= numMemClk();
+    idx.core = flat % numCoreClk();
+    idx.cu = flat / numCoreClk();
+    return idx;
+}
+
 void
 ConfigGrid::validate() const
 {
@@ -115,8 +162,8 @@ ConfigGrid::validate() const
     checkGridAxis(mem_clks_mhz, "memory-clock");
     // The extreme points cover every axis bound; interior points share
     // the same fixed parameters.
-    at(0, 0, 0).validate();
-    at(numCu() - 1, numCoreClk() - 1, numMemClk() - 1).validate();
+    minConfig().validate();
+    maxConfig().validate();
 }
 
 GridPlanes

@@ -1,19 +1,20 @@
 /**
  * @file
- * ConfigGrid: the gpu-layer view of a dense 3-axis configuration
- * grid.
+ * ConfigGrid: the dense 3-axis hardware-configuration grid.
+ *
+ * The paper's study space is paperGrid(): 11 compute-unit settings x
+ * 9 core clocks x 9 memory clocks = 891 configurations, spanning an
+ * 11x CU range, a 5x core-frequency range, and an 8.33x
+ * memory-bandwidth range.
  *
  * The batched model entry point (PerfModel::evaluateGrid) needs the
  * grid *structure* — which of the three swept knobs changes fastest —
  * not just a flat list of configurations, because hoisting
  * kernel-invariant and CU-invariant work out of the inner loops is
- * what makes the batched path fast.  scaling::ConfigSpace converts to
- * this type (scaling sits above gpu in the layer order, so the
- * dependency points the right way).
+ * what makes the batched path fast.
  *
- * Flattening matches ConfigSpace: cu is the slowest axis, memory
- * clock the fastest, i.e. flat = (cu_i * n_core + core_i) * n_mem +
- * mem_i.
+ * Flattening: cu is the slowest axis, memory clock the fastest, i.e.
+ * flat = (cu_i * n_core + core_i) * n_mem + mem_i.
  */
 
 #ifndef GPUSCALE_GPU_CONFIG_GRID_HH
@@ -124,11 +125,33 @@ struct ConfigGrid {
     size_t numMemClk() const { return mem_clks_mhz.size(); }
     size_t size() const { return numCu() * numCoreClk() * numMemClk(); }
 
+    /** The paper's 891-point grid. */
+    static ConfigGrid paperGrid();
+
+    /** A coarse 3x3x3 grid for fast tests. */
+    static ConfigGrid testGrid();
+
     /** Flatten axis indices to a linear index (cu slowest). */
     size_t flatten(size_t cu_i, size_t core_i, size_t mem_i) const;
 
     /** Materialize the configuration at the given axis indices. */
     GpuConfig at(size_t cu_i, size_t core_i, size_t mem_i) const;
+
+    /** The configuration at a linear index. */
+    GpuConfig at(size_t flat) const;
+
+    /** Axis indices for a linear index, as {cu, core, mem}. */
+    struct AxisIndex { size_t cu, core, mem; };
+    AxisIndex unflatten(size_t flat) const;
+
+    /** The smallest configuration (min of every axis). */
+    GpuConfig minConfig() const { return at(0, 0, 0); }
+
+    /** The largest configuration (max of every axis). */
+    GpuConfig maxConfig() const
+    {
+        return at(numCu() - 1, numCoreClk() - 1, numMemClk() - 1);
+    }
 
     /** fatal() if an axis is empty, unsorted, or a point is invalid. */
     void validate() const;
@@ -142,11 +165,20 @@ struct ConfigGrid {
 
     /**
      * Locale-independent serialization of the axes and the base
-     * configuration's swept knobs, for sweep cache keys.  Two grids
-     * with equal fingerprints produce identical configuration
-     * sequences.
+     * configuration's swept knobs, for sweep cache and checkpoint
+     * journal keys.  Two grids with equal fingerprints produce
+     * identical configuration sequences.
      */
     std::string fingerprint() const;
+
+    /** For perfbench only; everything else reads cu_values. */
+    const std::vector<int> &cuValues() const { return cu_values; }
+    /** For perfbench only; everything else reads core_clks_mhz. */
+    const std::vector<double> &coreClks() const { return core_clks_mhz; }
+    /** For perfbench only; everything else reads mem_clks_mhz. */
+    const std::vector<double> &memClks() const { return mem_clks_mhz; }
+    /** For perfbench only; everything else uses the grid itself. */
+    const ConfigGrid &grid() const { return *this; }
 };
 
 } // namespace gpu

@@ -17,14 +17,14 @@ namespace harness {
 
 CensusResult
 runCensus(const gpu::PerfModel &model,
-          std::optional<scaling::ConfigSpace> space,
+          std::optional<gpu::ConfigGrid> space,
           const scaling::TaxonomyParams &params,
           obs::ProgressReporter *progress, CensusJournal *journal,
           const CancelToken *cancel)
 {
     GPUSCALE_TRACE_SCOPE("census");
     CensusResult census{
-        space.value_or(scaling::ConfigSpace::paperGrid()), {}, {}};
+        space.value_or(gpu::ConfigGrid::paperGrid()), {}, {}};
 
     const auto kernels = workloads::WorkloadRegistry::instance()
                              .allKernels();
@@ -51,9 +51,9 @@ censusManifest(const CensusResult &census, const gpu::PerfModel &model)
     m.num_kernels = census.surfaces.size();
     m.num_configs = census.space.size();
     m.num_estimates = census.surfaces.size() * census.space.size();
-    m.cu_values = census.space.cuValues();
-    m.core_clks_mhz = census.space.coreClks();
-    m.mem_clks_mhz = census.space.memClks();
+    m.cu_values = census.space.cu_values;
+    m.core_clks_mhz = census.space.core_clks_mhz;
+    m.mem_clks_mhz = census.space.mem_clks_mhz;
     return m;
 }
 

@@ -27,7 +27,7 @@ class CensusJournal;
 
 /** Full-census result: every zoo kernel over the full grid. */
 struct CensusResult {
-    scaling::ConfigSpace space;
+    gpu::ConfigGrid space;
     std::vector<scaling::ScalingSurface> surfaces;
     std::vector<scaling::KernelClassification> classifications;
 };
@@ -46,7 +46,7 @@ struct CensusResult {
  */
 CensusResult runCensus(
     const gpu::PerfModel &model,
-    std::optional<scaling::ConfigSpace> space = std::nullopt,
+    std::optional<gpu::ConfigGrid> space = std::nullopt,
     const scaling::TaxonomyParams &params = scaling::TaxonomyParams{},
     obs::ProgressReporter *progress = nullptr,
     CensusJournal *journal = nullptr,

@@ -146,9 +146,8 @@ sparseSweepKernel(const gpu::PerfModel &model,
     // still a sweep, and the fault tests drive both through it.
     faultPoint("sweep.kernel");
 
-    const scaling::ConfigSpace &space = predictor.space();
-    const std::string key =
-        sparseKeyFor(model, kernel, space.grid(), options);
+    const gpu::ConfigGrid &space = predictor.space();
+    const std::string key = sparseKeyFor(model, kernel, space, options);
 
     const std::string record =
         journal != nullptr ? sparseRecordName(kernel, options) : "";
@@ -213,7 +212,7 @@ sparseSweepKernel(const gpu::PerfModel &model,
 
 SparseCensusResult
 runSparseCensus(const gpu::PerfModel &model,
-                std::optional<scaling::ConfigSpace> space,
+                std::optional<gpu::ConfigGrid> space,
                 const SparseCensusOptions &options,
                 const scaling::TaxonomyParams &params,
                 obs::ProgressReporter *progress,
@@ -221,7 +220,7 @@ runSparseCensus(const gpu::PerfModel &model,
 {
     GPUSCALE_TRACE_SCOPE("sparse_census");
     SparseCensusResult census{
-        space.value_or(scaling::ConfigSpace::paperGrid()),
+        space.value_or(gpu::ConfigGrid::paperGrid()),
         options,
         {},
         {},
@@ -283,9 +282,9 @@ sparseCensusManifest(const SparseCensusResult &census,
     m.num_configs = census.space.size();
     m.num_estimates =
         census.reconstructions.size() * census.options.samples;
-    m.cu_values = census.space.cuValues();
-    m.core_clks_mhz = census.space.coreClks();
-    m.mem_clks_mhz = census.space.memClks();
+    m.cu_values = census.space.cu_values;
+    m.core_clks_mhz = census.space.core_clks_mhz;
+    m.mem_clks_mhz = census.space.mem_clks_mhz;
     m.extra["sparse.sampler"] =
         scaling::samplerKindName(census.options.sampler);
     m.extra["sparse.samples"] =

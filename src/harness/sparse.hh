@@ -50,7 +50,7 @@ struct SparseCensusOptions {
 
 /** Sparse-census result: one reconstruction per zoo kernel. */
 struct SparseCensusResult {
-    scaling::ConfigSpace space;
+    gpu::ConfigGrid space;
     SparseCensusOptions options;
 
     /** Per-kernel reconstructions, in zoo order. */
@@ -94,7 +94,7 @@ scaling::SparseReconstruction sparseSweepKernel(
  */
 SparseCensusResult runSparseCensus(
     const gpu::PerfModel &model,
-    std::optional<scaling::ConfigSpace> space = std::nullopt,
+    std::optional<gpu::ConfigGrid> space = std::nullopt,
     const SparseCensusOptions &options = SparseCensusOptions{},
     const scaling::TaxonomyParams &params = scaling::TaxonomyParams{},
     obs::ProgressReporter *progress = nullptr,

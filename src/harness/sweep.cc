@@ -114,18 +114,17 @@ sweepOne(const gpu::PerfModel &model, const gpu::KernelDesc &kernel,
 
 scaling::ScalingSurface
 sweepKernel(const gpu::PerfModel &model, const gpu::KernelDesc &kernel,
-            const scaling::ConfigSpace &space)
+            const gpu::ConfigGrid &grid)
 {
-    const gpu::ConfigGrid grid = space.grid();
     const std::string key = SweepCache::keyFor(model, kernel, grid);
-    return scaling::ScalingSurface(kernel.name, space,
+    return scaling::ScalingSurface(kernel.name, grid,
                                    sweepOne(model, kernel, grid, key));
 }
 
 std::vector<scaling::ScalingSurface>
 sweepKernels(const gpu::PerfModel &model,
              const std::vector<const gpu::KernelDesc *> &kernels,
-             const scaling::ConfigSpace &space,
+             const gpu::ConfigGrid &grid,
              obs::ProgressReporter *progress, CensusJournal *journal,
              const CancelToken *cancel)
 {
@@ -133,7 +132,6 @@ sweepKernels(const gpu::PerfModel &model,
         panic_if(kernel == nullptr, "sweepKernels: null kernel");
 
     SweepMetrics &metrics = SweepMetrics::get();
-    const gpu::ConfigGrid grid = space.grid();
 
     // Cache keys are computed up front on the calling thread; only
     // the model evaluations are worth farming out.
@@ -183,8 +181,7 @@ sweepKernels(const gpu::PerfModel &model,
     std::vector<scaling::ScalingSurface> surfaces;
     surfaces.reserve(kernels.size());
     for (size_t k = 0; k < kernels.size(); ++k) {
-        surfaces.emplace_back(kernels[k]->name, space,
-                              std::move(runtimes[k]));
+        surfaces.emplace_back(kernels[k]->name, grid, std::move(runtimes[k]));
     }
     return surfaces;
 }

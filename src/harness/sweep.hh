@@ -12,9 +12,9 @@
 
 #include <vector>
 
+#include "gpu/config_grid.hh"
 #include "gpu/perf_model.hh"
 #include "harness/cancel.hh"
-#include "scaling/config_space.hh"
 #include "scaling/surface.hh"
 
 namespace gpuscale {
@@ -34,7 +34,7 @@ class CensusJournal;
  */
 scaling::ScalingSurface sweepKernel(const gpu::PerfModel &model,
                                     const gpu::KernelDesc &kernel,
-                                    const scaling::ConfigSpace &space);
+                                    const gpu::ConfigGrid &grid);
 
 /**
  * Measure a batch of kernels; kernels are distributed across worker
@@ -59,7 +59,7 @@ scaling::ScalingSurface sweepKernel(const gpu::PerfModel &model,
 std::vector<scaling::ScalingSurface> sweepKernels(
     const gpu::PerfModel &model,
     const std::vector<const gpu::KernelDesc *> &kernels,
-    const scaling::ConfigSpace &space,
+    const gpu::ConfigGrid &grid,
     obs::ProgressReporter *progress = nullptr,
     CensusJournal *journal = nullptr,
     const CancelToken *cancel = nullptr);

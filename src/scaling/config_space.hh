@@ -1,93 +1,18 @@
 /**
  * @file
- * The swept hardware-configuration grid.
- *
- * The paper's study space: 11 compute-unit settings x 9 core clocks x
- * 9 memory clocks = 891 configurations, spanning an 11x CU range, a
- * 5x core-frequency range, and an 8.33x memory-bandwidth range.
+ * The old name of gpu::ConfigGrid.
  */
 
 #ifndef GPUSCALE_SCALING_CONFIG_SPACE_HH
 #define GPUSCALE_SCALING_CONFIG_SPACE_HH
 
-#include <cstddef>
-#include <vector>
-
 #include "gpu/config_grid.hh"
-#include "gpu/gpu_config.hh"
 
 namespace gpuscale {
 namespace scaling {
 
-/** A dense 3-axis grid of GpuConfigs. */
-class ConfigSpace
-{
-  public:
-    /**
-     * Build a custom grid.  Axis vectors must be non-empty and
-     * strictly increasing.
-     *
-     * @param cu_values compute-unit settings.
-     * @param core_clks core clocks in MHz.
-     * @param mem_clks memory clocks in MHz.
-     * @param base template whose fixed microarchitecture parameters
-     *        every grid point inherits.
-     */
-    ConfigSpace(std::vector<int> cu_values,
-                std::vector<double> core_clks,
-                std::vector<double> mem_clks,
-                gpu::GpuConfig base = gpu::GpuConfig{});
-
-    /** The paper's 891-point grid. */
-    static ConfigSpace paperGrid();
-
-    /** A coarse 3x3x3 grid for fast tests. */
-    static ConfigSpace testGrid();
-
-    size_t numCu() const { return cu_values_.size(); }
-    size_t numCoreClk() const { return core_clks_.size(); }
-    size_t numMemClk() const { return mem_clks_.size(); }
-    size_t size() const
-    {
-        return numCu() * numCoreClk() * numMemClk();
-    }
-
-    const std::vector<int> &cuValues() const { return cu_values_; }
-    const std::vector<double> &coreClks() const { return core_clks_; }
-    const std::vector<double> &memClks() const { return mem_clks_; }
-
-    /** Flatten (cu, core, mem) axis indices to a linear index. */
-    size_t flatten(size_t cu_i, size_t core_i, size_t mem_i) const;
-
-    /** The configuration at the given axis indices. */
-    gpu::GpuConfig at(size_t cu_i, size_t core_i, size_t mem_i) const;
-
-    /** The configuration at a linear index. */
-    gpu::GpuConfig at(size_t flat) const;
-
-    /** Axis indices for a linear index, as {cu, core, mem}. */
-    struct AxisIndex { size_t cu, core, mem; };
-    AxisIndex unflatten(size_t flat) const;
-
-    /**
-     * This space as the model layer's batched-evaluation grid.  The
-     * flatten order is identical, so evaluateGrid() results line up
-     * index-for-index with at(flat).
-     */
-    gpu::ConfigGrid grid() const;
-
-    /** The largest configuration (max of every axis). */
-    gpu::GpuConfig maxConfig() const;
-
-    /** The smallest configuration (min of every axis). */
-    gpu::GpuConfig minConfig() const;
-
-  private:
-    std::vector<int> cu_values_;
-    std::vector<double> core_clks_;
-    std::vector<double> mem_clks_;
-    gpu::GpuConfig base_;
-};
+// For perfbench only; everything else names gpu::ConfigGrid.
+using ConfigSpace = gpu::ConfigGrid;
 
 } // namespace scaling
 } // namespace gpuscale

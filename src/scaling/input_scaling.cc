@@ -22,7 +22,7 @@ namespace {
  */
 ScalingSurface
 sweepLocal(const gpu::PerfModel &model, const gpu::KernelDesc &kernel,
-           const ConfigSpace &space)
+           const gpu::ConfigGrid &space)
 {
     std::vector<double> runtimes(space.size());
     for (size_t i = 0; i < space.size(); ++i)
@@ -35,7 +35,7 @@ sweepLocal(const gpu::PerfModel &model, const gpu::KernelDesc &kernel,
 InputScalingResult
 studyInputScaling(const gpu::PerfModel &model,
                   const gpu::KernelDesc &kernel,
-                  const ConfigSpace &space,
+                  const gpu::ConfigGrid &space,
                   const std::vector<double> &multipliers)
 {
     fatal_if(multipliers.empty(), "input scaling: no multipliers");
@@ -50,7 +50,7 @@ studyInputScaling(const gpu::PerfModel &model,
     InputScalingResult result;
     result.kernel = kernel.name;
 
-    const int max_cus = space.cuValues().back();
+    const int max_cus = space.cu_values.back();
     bool any_growth = false;
     bool reached_machine = false;
 

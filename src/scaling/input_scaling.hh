@@ -74,7 +74,7 @@ struct InputScalingResult {
  */
 InputScalingResult studyInputScaling(
     const gpu::PerfModel &model, const gpu::KernelDesc &kernel,
-    const ConfigSpace &space,
+    const gpu::ConfigGrid &space,
     const std::vector<double> &multipliers = {1, 4, 16, 64});
 
 /** Human-readable verdict name. */

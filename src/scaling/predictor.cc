@@ -33,7 +33,7 @@ geomeanOf(const std::vector<double> &v)
 ScalingPredictor::ScalingPredictor(
     const std::vector<ScalingSurface> &surfaces,
     const std::vector<KernelClassification> &classifications)
-    : space_(surfaces.empty() ? ConfigSpace::paperGrid()
+    : space_(surfaces.empty() ? gpu::ConfigGrid::paperGrid()
                               : surfaces.front().space())
 {
     fatal_if(surfaces.empty(), "predictor: no training surfaces");
@@ -143,7 +143,7 @@ ScalingPredictor::matchClass(
 }
 
 std::vector<size_t>
-ScalingPredictor::defaultProbes(const ConfigSpace &space)
+ScalingPredictor::defaultProbes(const gpu::ConfigGrid &space)
 {
     const size_t cu_hi = space.numCu() - 1;
     const size_t core_hi = space.numCoreClk() - 1;

@@ -78,20 +78,20 @@ class ScalingPredictor
     /** Number of learned templates (populated classes). */
     size_t numTemplates() const { return templates_.size(); }
 
-    const ConfigSpace &space() const { return space_; }
+    const gpu::ConfigGrid &space() const { return space_; }
 
     /**
      * Default probe set: the grid corners plus the centre — the
      * measurements a practitioner would take first.
      */
-    static std::vector<size_t> defaultProbes(const ConfigSpace &space);
+    static std::vector<size_t> defaultProbes(const gpu::ConfigGrid &space);
 
   private:
     size_t bestTemplate(std::span<const size_t> probe_indices,
                         std::span<const double> probe_runtimes,
                         double *scale_out) const;
 
-    ConfigSpace space_;
+    gpu::ConfigGrid space_;
     std::vector<std::vector<double>> templates_; ///< shape surfaces
     std::vector<TaxonomyClass> template_class_;
 };

@@ -21,7 +21,7 @@ namespace gpuscale {
 namespace scaling {
 
 TextTable
-configSpaceTable(const ConfigSpace &space)
+configSpaceTable(const gpu::ConfigGrid &space)
 {
     TextTable t;
     t.addColumn("knob");
@@ -32,23 +32,23 @@ configSpaceTable(const ConfigSpace &space)
 
     t.row({"compute units",
            strprintf("%zu", space.numCu()),
-           strprintf("%d", space.cuValues().front()),
-           strprintf("%d", space.cuValues().back()),
+           strprintf("%d", space.cu_values.front()),
+           strprintf("%d", space.cu_values.back()),
            strprintf("%.2fx", static_cast<double>(
-                                  space.cuValues().back()) /
-                                  space.cuValues().front())});
+                                  space.cu_values.back()) /
+                                  space.cu_values.front())});
     t.row({"core clock (MHz)",
            strprintf("%zu", space.numCoreClk()),
-           strprintf("%.0f", space.coreClks().front()),
-           strprintf("%.0f", space.coreClks().back()),
-           strprintf("%.2fx", space.coreClks().back() /
-                                  space.coreClks().front())});
+           strprintf("%.0f", space.core_clks_mhz.front()),
+           strprintf("%.0f", space.core_clks_mhz.back()),
+           strprintf("%.2fx", space.core_clks_mhz.back() /
+                                  space.core_clks_mhz.front())});
     t.row({"memory clock (MHz)",
            strprintf("%zu", space.numMemClk()),
-           strprintf("%.0f", space.memClks().front()),
-           strprintf("%.0f", space.memClks().back()),
-           strprintf("%.2fx", space.memClks().back() /
-                                  space.memClks().front())});
+           strprintf("%.0f", space.mem_clks_mhz.front()),
+           strprintf("%.0f", space.mem_clks_mhz.back()),
+           strprintf("%.2fx", space.mem_clks_mhz.back() /
+                                  space.mem_clks_mhz.front())});
     t.row({"total configurations",
            strprintf("%zu", space.size()), "", "", ""});
     return t;
@@ -256,10 +256,13 @@ readSurfacesCsv(std::string_view text, gpu::GpuConfig base)
         core_set.insert(g.core);
         mem_set.insert(g.mem);
     }
-    const ConfigSpace space(
+    const gpu::ConfigGrid space{
         std::vector<int>(cu_set.begin(), cu_set.end()),
         std::vector<double>(core_set.begin(), core_set.end()),
-        std::vector<double>(mem_set.begin(), mem_set.end()), base);
+        std::vector<double>(mem_set.begin(), mem_set.end()), base};
+    // An empty file or an impossible knob value (cus=0) must not
+    // reach the classifier.
+    space.validate();
 
     auto axisIndex = [](const auto &values, auto v, const char *name) {
         for (size_t i = 0; i < values.size(); ++i) {
@@ -283,9 +286,9 @@ readSurfacesCsv(std::string_view text, gpu::GpuConfig base)
                      .first;
         }
         const size_t flat = space.flatten(
-            axisIndex(space.cuValues(), g.cus, "cus"),
-            axisIndex(space.coreClks(), g.core, "core_mhz"),
-            axisIndex(space.memClks(), g.mem, "mem_mhz"));
+            axisIndex(space.cu_values, g.cus, "cus"),
+            axisIndex(space.core_clks_mhz, g.core, "core_mhz"),
+            axisIndex(space.mem_clks_mhz, g.mem, "mem_mhz"));
         fatal_if(it->second[flat] != 0.0,
                  "surface CSV: duplicate sample for %s at %zu",
                  kernel.c_str(), flat);
@@ -323,13 +326,13 @@ writeSurfaceCsv(std::ostream &os, const ScalingSurface &surface)
 {
     CsvWriter w(os);
     w.row({"kernel", "cus", "core_mhz", "mem_mhz", "runtime_s"});
-    const ConfigSpace &space = surface.space();
+    const gpu::ConfigGrid &space = surface.space();
     for (size_t i = 0; i < space.size(); ++i) {
         const auto idx = space.unflatten(i);
         w.cell(surface.kernelName());
-        w.cell(static_cast<int64_t>(space.cuValues()[idx.cu]));
-        w.cell(space.coreClks()[idx.core]);
-        w.cell(space.memClks()[idx.mem]);
+        w.cell(static_cast<int64_t>(space.cu_values[idx.cu]));
+        w.cell(space.core_clks_mhz[idx.core]);
+        w.cell(space.mem_clks_mhz[idx.mem]);
         w.cell(surface.runtimes()[i]);
         w.endRow();
     }

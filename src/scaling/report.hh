@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "base/table.hh"
-#include "config_space.hh"
+#include "gpu/config_grid.hh"
 #include "sparse_predictor.hh"
 #include "suite_analysis.hh"
 #include "taxonomy.hh"
@@ -20,7 +20,7 @@ namespace gpuscale {
 namespace scaling {
 
 /** T1: the hardware configuration space. */
-TextTable configSpaceTable(const ConfigSpace &space);
+TextTable configSpaceTable(const gpu::ConfigGrid &space);
 
 /** T3/F4: taxonomy class populations with percentages. */
 TextTable classHistogramTable(

@@ -122,7 +122,7 @@ struct SparsePredictor::Samples {
     size_t size() const { return flat.size(); }
 };
 
-SparsePredictor::SparsePredictor(ConfigSpace space,
+SparsePredictor::SparsePredictor(gpu::ConfigGrid space,
                                  SparseFitOptions options)
     : space_(std::move(space)), options_(options)
 {
@@ -306,10 +306,10 @@ SparsePredictor::fitLogAdditive(const Samples &samples,
     double mu = ysum / wsum;
 
     // Knob values per axis, for missing-level interpolation.
-    std::vector<double> cu_knob(space_.cuValues().begin(),
-                                space_.cuValues().end());
-    const std::vector<double> &core_knob = space_.coreClks();
-    const std::vector<double> &mem_knob = space_.memClks();
+    std::vector<double> cu_knob(space_.cu_values.begin(),
+                                space_.cu_values.end());
+    const std::vector<double> &core_knob = space_.core_clks_mhz;
+    const std::vector<double> &mem_knob = space_.mem_clks_mhz;
 
     std::vector<double> a(space_.numCu(), 0.0);
     std::vector<double> b(space_.numCoreClk(), 0.0);

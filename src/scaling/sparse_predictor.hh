@@ -51,7 +51,7 @@
 #include <vector>
 
 #include "base/random.hh"
-#include "config_space.hh"
+#include "gpu/config_grid.hh"
 #include "surface.hh"
 #include "taxonomy.hh"
 
@@ -138,10 +138,10 @@ class SparsePredictor
      *        values each, as classifySurface() requires).
      * @param options fit / ensemble tunables.
      */
-    explicit SparsePredictor(ConfigSpace space,
+    explicit SparsePredictor(gpu::ConfigGrid space,
                              SparseFitOptions options = {});
 
-    const ConfigSpace &space() const { return space_; }
+    const gpu::ConfigGrid &space() const { return space_; }
     const SparseFitOptions &options() const { return options_; }
 
     /**
@@ -233,7 +233,7 @@ class SparsePredictor
     /** Stratified LHS stream of flat indices (may repeat). */
     std::vector<size_t> lhsCandidates(size_t count, Rng &rng) const;
 
-    ConfigSpace space_;
+    gpu::ConfigGrid space_;
     SparseFitOptions options_;
 };
 

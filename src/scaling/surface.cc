@@ -13,7 +13,7 @@
 namespace gpuscale {
 namespace scaling {
 
-ScalingSurface::ScalingSurface(std::string kernel_name, ConfigSpace space,
+ScalingSurface::ScalingSurface(std::string kernel_name, gpu::ConfigGrid space,
                                std::vector<double> runtimes_s)
     : kernel_name_(std::move(kernel_name)), space_(std::move(space)),
       runtimes_(std::move(runtimes_s))

@@ -14,12 +14,14 @@
 #include <string>
 #include <vector>
 
-#include "config_space.hh"
+#include "gpu/config_grid.hh"
+// For perfbench only, which still uses the grid's old name.
+#include "scaling/config_space.hh"
 
 namespace gpuscale {
 namespace scaling {
 
-/** Runtime samples for one kernel over a ConfigSpace. */
+/** Runtime samples for one kernel over a gpu::ConfigGrid. */
 class ScalingSurface
 {
   public:
@@ -27,13 +29,13 @@ class ScalingSurface
      * @param kernel_name canonical kernel name.
      * @param space the grid the samples cover.
      * @param runtimes_s per-configuration runtimes in seconds,
-     *        indexed by ConfigSpace::flatten order; all positive.
+     *        indexed by gpu::ConfigGrid::flatten order; all positive.
      */
-    ScalingSurface(std::string kernel_name, ConfigSpace space,
+    ScalingSurface(std::string kernel_name, gpu::ConfigGrid space,
                    std::vector<double> runtimes_s);
 
     const std::string &kernelName() const { return kernel_name_; }
-    const ConfigSpace &space() const { return space_; }
+    const gpu::ConfigGrid &space() const { return space_; }
     const std::vector<double> &runtimes() const { return runtimes_; }
 
     /** Runtime at axis indices, seconds. */
@@ -92,7 +94,7 @@ class ScalingSurface
 
   private:
     std::string kernel_name_;
-    ConfigSpace space_;
+    gpu::ConfigGrid space_;
     std::vector<double> runtimes_;
 };
 

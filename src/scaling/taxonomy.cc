@@ -39,20 +39,20 @@ KernelClassification
 classifySurface(const ScalingSurface &surface,
                 const TaxonomyParams &params)
 {
-    const ConfigSpace &space = surface.space();
+    const gpu::ConfigGrid &space = surface.space();
 
     KernelClassification out;
     out.kernel = surface.kernelName();
 
-    const std::vector<double> cu_knob(space.cuValues().begin(),
-                                      space.cuValues().end());
+    const std::vector<double> cu_knob(space.cu_values.begin(),
+                                      space.cu_values.end());
     const std::vector<double> cu_perf = surface.cuCurveAtMax();
     const std::vector<double> freq_perf = surface.freqCurveAtMax();
     const std::vector<double> mem_perf = surface.memCurveAtMax();
 
     out.cu = classifyCurve(cu_knob, cu_perf, params.shape);
-    out.freq = classifyCurve(space.coreClks(), freq_perf, params.shape);
-    out.mem = classifyCurve(space.memClks(), mem_perf, params.shape);
+    out.freq = classifyCurve(space.core_clks_mhz, freq_perf, params.shape);
+    out.mem = classifyCurve(space.mem_clks_mhz, mem_perf, params.shape);
     out.perf_range = surface.perfRange();
     // The insensitivity test uses the robust range so sample-noise
     // tails cannot fake sensitivity on measured data.
@@ -60,10 +60,10 @@ classifySurface(const ScalingSurface &surface,
 
     // CUs needed for 90% of max-CU performance.
     const double peak = *std::max_element(cu_perf.begin(), cu_perf.end());
-    out.cu90 = space.cuValues().back();
+    out.cu90 = space.cu_values.back();
     for (size_t i = 0; i < cu_perf.size(); ++i) {
         if (cu_perf[i] >= 0.9 * peak) {
-            out.cu90 = space.cuValues()[i];
+            out.cu90 = space.cu_values[i];
             break;
         }
     }

@@ -121,8 +121,8 @@ struct Service::Connection {
 Service::Service(const ServiceOptions &opts,
                  const gpu::PerfModel &model)
     : opts_(opts), model_(model),
-      space_(opts.test_grid ? scaling::ConfigSpace::testGrid()
-                            : scaling::ConfigSpace::paperGrid()),
+      space_(opts.test_grid ? gpu::ConfigGrid::testGrid()
+                            : gpu::ConfigGrid::paperGrid()),
       admission_(opts.max_inflight, opts.client_quota)
 {
     // Spawn the batch worker with SIGTERM/SIGINT blocked so a
@@ -135,7 +135,7 @@ Service::Service(const ServiceOptions &opts,
     sigaddset(&drained, SIGTERM);
     sigaddset(&drained, SIGINT);
     pthread_sigmask(SIG_BLOCK, &drained, &old);
-    batcher_.emplace(model_, space_.grid().base);
+    batcher_.emplace(model_, space_.base);
     pthread_sigmask(SIG_SETMASK, &old, nullptr);
 }
 
@@ -267,7 +267,7 @@ Service::loadCensus()
 {
     if (!opts_.checkpoint_dir.empty()) {
         journal_.emplace(opts_.checkpoint_dir, model_.fingerprint(),
-                         space_.grid().fingerprint());
+                         space_.fingerprint());
         journal_replayed_ = journal_->loadedRecords();
         if (journal_replayed_ > 0) {
             inform("gpuscaled: resuming census — %zu kernels "

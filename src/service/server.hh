@@ -147,7 +147,7 @@ class Service
 
     const ServiceOptions opts_;
     const gpu::PerfModel &model_;
-    scaling::ConfigSpace space_;
+    gpu::ConfigGrid space_;
 
     std::optional<harness::CensusJournal> journal_;
     size_t journal_replayed_ = 0;

@@ -66,7 +66,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -83,14 +82,11 @@
 #include "harness/experiment.hh"
 #include "harness/noise.hh"
 #include "harness/sparse.hh"
-#include "obs/exporter.hh"
 #include "obs/fault_telemetry.hh"
-#include "obs/flight_recorder.hh"
-#include "obs/metrics.hh"
 #include "obs/progress.hh"
 #include "obs/retry.hh"
 #include "obs/run_manifest.hh"
-#include "obs/trace.hh"
+#include "obs/telemetry_session.hh"
 #include "scaling/report.hh"
 #include "scaling/suite_analysis.hh"
 #include "workloads/registry.hh"
@@ -103,17 +99,10 @@ constexpr int kExitOk = 0;
 constexpr int kExitFailure = 1;
 constexpr int kExitUnknownCommand = 2;
 constexpr int kExitBadArguments = 3;
-constexpr int kExitDegraded = 4;
 
-/** Telemetry switches shared by every subcommand. */
+/** Census switches; the telemetry ones live in obs::TelemetrySession. */
 struct CliOptions {
-    std::string trace_file;
-    std::string metrics_file;
-    std::string metrics_jsonl = "metrics.jsonl";
-    std::string exposition_file;
-    std::string flight_recorder_base;
     std::string checkpoint_dir;
-    unsigned metrics_interval_ms = 0;
     bool progress = false;
 
     /** Sparse census (census --sparse=K); 0 means dense. */
@@ -132,13 +121,13 @@ void usage();
  */
 void
 openJournal(const CliOptions &opts, const gpu::PerfModel &model,
-            const scaling::ConfigSpace &space,
+            const gpu::ConfigGrid &space,
             std::optional<harness::CensusJournal> &journal)
 {
     if (opts.checkpoint_dir.empty())
         return;
     journal.emplace(opts.checkpoint_dir, model.fingerprint(),
-                    space.grid().fingerprint());
+                    space.fingerprint());
     if (journal->loadedRecords() > 0) {
         inform("checkpoint: replaying %zu finished kernel(s) from %s",
                journal->loadedRecords(), journal->path().c_str());
@@ -163,7 +152,7 @@ runCensusCmd(double sigma, const CliOptions &opts,
     obs::ProgressReporter progress("census", num_kernels,
                                    opts.progress);
 
-    const auto space = scaling::ConfigSpace::paperGrid();
+    const auto space = gpu::ConfigGrid::paperGrid();
     std::optional<harness::CensusJournal> journal;
     openJournal(opts, model, space, journal);
 
@@ -235,7 +224,7 @@ runSparseCensusCmd(double sigma, const CliOptions &opts,
         sigma > 0 ? static_cast<const gpu::PerfModel &>(noisy)
                   : static_cast<const gpu::PerfModel &>(inner);
 
-    const auto space = scaling::ConfigSpace::paperGrid();
+    const auto space = gpu::ConfigGrid::paperGrid();
     harness::SparseCensusOptions sparse;
     sparse.samples = opts.sparse_samples;
     sparse.sampler = opts.sampler;
@@ -379,7 +368,7 @@ kernelCmd(const std::string &name)
     std::printf("%s\n\n", kernel->describe().c_str());
 
     const gpu::AnalyticModel model;
-    const auto space = scaling::ConfigSpace::paperGrid();
+    const auto space = gpu::ConfigGrid::paperGrid();
     const auto surface = harness::sweepKernel(model, *kernel, space);
     const auto cls = scaling::classifySurface(surface);
     std::printf("classification: %s\n\n",
@@ -452,22 +441,6 @@ usage()
         "docs/service.md)\n");
 }
 
-/** Write the metrics snapshot and print the table (--metrics). */
-void
-emitMetrics(const std::string &path)
-{
-    // gpuscale-lint: allow(fault-coverage): telemetry artifact
-    // written after the census completed; a bad path is a fatal
-    // usage error.
-    std::ofstream os(path);
-    fatal_if(!os, "cannot write metrics file %s", path.c_str());
-    os << obs::Registry::instance().snapshotJson() << '\n';
-    std::printf("\n%s",
-                obs::Registry::instance().snapshotTable()
-                    .render().c_str());
-    inform("wrote %s", path.c_str());
-}
-
 } // namespace
 
 int
@@ -478,36 +451,20 @@ main(int argc, char **argv)
     obs::armFaultsFromEnv();
 
     CliOptions opts;
+    obs::TelemetrySession telemetry;
     std::vector<std::string> args;
     std::vector<std::string> argv_record;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         argv_record.push_back(arg);
-        if (arg.rfind("--trace=", 0) == 0) {
-            opts.trace_file = arg.substr(8);
-        } else if (arg.rfind("--metrics=", 0) == 0) {
-            opts.metrics_file = arg.substr(10);
-        } else if (arg.rfind("--metrics-interval=", 0) == 0) {
-            // from_chars, not atoi: a mistyped interval must be a
-            // usage error, not a silently disabled exporter.
-            const auto parsed = parseDouble(arg.substr(19));
-            if (!parsed || *parsed <= 0) {
-                std::fprintf(stderr,
-                             "--metrics-interval: '%s' is not a "
-                             "positive millisecond count\n",
-                             arg.substr(19).c_str());
-                usage();
-                return kExitBadArguments;
-            }
-            opts.metrics_interval_ms =
-                static_cast<unsigned>(*parsed);
-        } else if (arg.rfind("--metrics-jsonl=", 0) == 0) {
-            opts.metrics_jsonl = arg.substr(16);
-        } else if (arg.rfind("--exposition=", 0) == 0) {
-            opts.exposition_file = arg.substr(13);
-        } else if (arg.rfind("--flight-recorder=", 0) == 0) {
-            opts.flight_recorder_base = arg.substr(18);
-        } else if (arg.rfind("--checkpoint=", 0) == 0) {
+        const auto flag = telemetry.parseFlag(arg);
+        if (flag == obs::TelemetrySession::Flag::Invalid) {
+            usage();
+            return kExitBadArguments;
+        }
+        if (flag == obs::TelemetrySession::Flag::Parsed)
+            continue;
+        if (arg.rfind("--checkpoint=", 0) == 0) {
             opts.checkpoint_dir = arg.substr(13);
         } else if (arg == "--progress") {
             opts.progress = true;
@@ -565,33 +522,7 @@ main(int argc, char **argv)
         return kExitBadArguments;
     }
 
-    if (opts.metrics_interval_ms == 0) {
-        // The environment can turn the exporter on for runs whose
-        // command line a wrapper controls.
-        if (const char *env = std::getenv("GPUSCALE_METRICS_INTERVAL")) {
-            const auto parsed = parseDouble(env);
-            if (parsed && *parsed > 0)
-                opts.metrics_interval_ms =
-                    static_cast<unsigned>(*parsed);
-            else
-                warn("ignoring GPUSCALE_METRICS_INTERVAL='%s'", env);
-        }
-    }
-
-    if (!opts.trace_file.empty())
-        obs::TraceSession::start(opts.trace_file);
-    if (!opts.flight_recorder_base.empty()) {
-        if (obs::FlightRecorder::start(opts.flight_recorder_base +
-                                       ".ring"))
-        {
-            obs::FlightRecorder::installCrashDump(
-                opts.flight_recorder_base + ".json");
-        }
-    }
-    if (opts.metrics_interval_ms > 0) {
-        obs::MetricsExporter::start(opts.metrics_jsonl,
-                                    opts.metrics_interval_ms);
-    }
+    telemetry.start();
 
     const std::string cmd = args[0];
     int rc;
@@ -645,43 +576,5 @@ main(int argc, char **argv)
         return kExitUnknownCommand;
     }
 
-    if (obs::MetricsExporter::active()) {
-        obs::MetricsExporter::stop();
-        inform("wrote %s", opts.metrics_jsonl.c_str());
-    }
-    if (!opts.metrics_file.empty())
-        emitMetrics(opts.metrics_file);
-    if (!opts.exposition_file.empty()) {
-        // gpuscale-lint: allow(fault-coverage): telemetry artifact
-        // written after the census completed; a bad path is a fatal
-        // usage error.
-        std::ofstream os(opts.exposition_file);
-        fatal_if(!os, "cannot write exposition file %s",
-                 opts.exposition_file.c_str());
-        obs::Registry::instance().writeExposition(os);
-        inform("wrote %s", opts.exposition_file.c_str());
-    }
-    if (!opts.trace_file.empty()) {
-        const size_t spans = obs::TraceSession::stop();
-        inform("wrote %s (%zu spans)", opts.trace_file.c_str(), spans);
-    }
-    if (rc == kExitOk && obs::degradationCount() > 0) {
-        warn("run completed with %llu degradation(s); exiting %d",
-             static_cast<unsigned long long>(obs::degradationCount()),
-             kExitDegraded);
-        rc = kExitDegraded;
-    }
-    if (obs::FlightRecorder::active()) {
-        if (rc == kExitDegraded) {
-            // The black box explains *what* degraded, not just that
-            // something did: dump before the recorder winds down.
-            const std::string dump_path =
-                opts.flight_recorder_base + ".json";
-            obs::FlightRecorder::dump(dump_path, "degraded-exit-4");
-            inform("wrote %s", dump_path.c_str());
-        }
-        // The ring file stays behind for post-mortem reads.
-        obs::FlightRecorder::stop();
-    }
-    return rc;
+    return telemetry.finish(rc, /*print_table=*/true);
 }

@@ -51,8 +51,6 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -61,12 +59,9 @@
 #include "base/logging.hh"
 #include "base/string_util.hh"
 #include "gpu/analytic_model.hh"
-#include "obs/exporter.hh"
 #include "obs/fault_telemetry.hh"
-#include "obs/flight_recorder.hh"
 #include "obs/json.hh"
-#include "obs/metrics.hh"
-#include "obs/trace.hh"
+#include "obs/telemetry_session.hh"
 #include "service/client.hh"
 #include "service/protocol.hh"
 #include "service/server.hh"
@@ -79,17 +74,11 @@ constexpr int kExitOk = 0;
 constexpr int kExitFailure = 1;
 constexpr int kExitUnknownCommand = 2;
 constexpr int kExitBadArguments = 3;
-constexpr int kExitDegraded = 4;
 constexpr int kExitStartupFailure = 5;
 
-/** Daemon + client switches. */
+/** Daemon + client switches; telemetry is obs::TelemetrySession's. */
 struct DaemonOptions {
     service::ServiceOptions service;
-    std::string trace_file;
-    std::string metrics_file;
-    std::string metrics_jsonl = "metrics.jsonl";
-    std::string exposition_file;
-    std::string flight_recorder_base;
     std::string client_name;
     double call_deadline_ms = 5000.0;
 };
@@ -129,19 +118,6 @@ usage()
         "            4 ok but degraded (absorbed faults), "
         "5 startup failure\n"
         "            (socket bind or live pidfile)\n");
-}
-
-/** Write the metrics snapshot (--metrics). */
-void
-emitMetrics(const std::string &path)
-{
-    // gpuscale-lint: allow(fault-coverage): telemetry artifact
-    // written after the service drained; a bad path is a fatal
-    // usage error.
-    std::ofstream os(path);
-    fatal_if(!os, "cannot write metrics file %s", path.c_str());
-    os << obs::Registry::instance().snapshotJson() << '\n';
-    inform("wrote %s", path.c_str());
 }
 
 int
@@ -237,10 +213,17 @@ main(int argc, char **argv)
     obs::armFaultsFromEnv();
 
     DaemonOptions opts;
-    unsigned metrics_interval_ms = 0;
+    obs::TelemetrySession telemetry;
     std::vector<std::string> args;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        const auto flag = telemetry.parseFlag(arg);
+        if (flag == obs::TelemetrySession::Flag::Invalid) {
+            usage();
+            return kExitBadArguments;
+        }
+        if (flag == obs::TelemetrySession::Flag::Parsed)
+            continue;
         const auto sizeFlag = [&](const char *name, size_t *out) {
             const std::string prefix = std::string(name) + "=";
             if (arg.rfind(prefix, 0) != 0)
@@ -310,27 +293,6 @@ main(int argc, char **argv)
             }
         } else if (arg.rfind("--client=", 0) == 0) {
             opts.client_name = arg.substr(9);
-        } else if (arg.rfind("--trace=", 0) == 0) {
-            opts.trace_file = arg.substr(8);
-        } else if (arg.rfind("--metrics=", 0) == 0) {
-            opts.metrics_file = arg.substr(10);
-        } else if (arg.rfind("--metrics-interval=", 0) == 0) {
-            const auto parsed = parseDouble(arg.substr(19));
-            if (!parsed || *parsed <= 0) {
-                std::fprintf(stderr,
-                             "--metrics-interval: '%s' is not a "
-                             "positive millisecond count\n",
-                             arg.substr(19).c_str());
-                usage();
-                return kExitBadArguments;
-            }
-            metrics_interval_ms = static_cast<unsigned>(*parsed);
-        } else if (arg.rfind("--metrics-jsonl=", 0) == 0) {
-            opts.metrics_jsonl = arg.substr(16);
-        } else if (arg.rfind("--exposition=", 0) == 0) {
-            opts.exposition_file = arg.substr(13);
-        } else if (arg.rfind("--flight-recorder=", 0) == 0) {
-            opts.flight_recorder_base = arg.substr(18);
         } else if (arg.rfind("--", 0) == 0) {
             std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
             usage();
@@ -343,17 +305,6 @@ main(int argc, char **argv)
     if (args.empty()) {
         usage();
         return kExitBadArguments;
-    }
-
-    if (metrics_interval_ms == 0) {
-        if (const char *env =
-                std::getenv("GPUSCALE_METRICS_INTERVAL")) {
-            const auto parsed = parseDouble(env);
-            if (parsed && *parsed > 0)
-                metrics_interval_ms = static_cast<unsigned>(*parsed);
-            else
-                warn("ignoring GPUSCALE_METRICS_INTERVAL='%s'", env);
-        }
     }
 
     // When serving, the drain signals must be blocked before ANY
@@ -371,19 +322,7 @@ main(int argc, char **argv)
         pthread_sigmask(SIG_BLOCK, &drained, nullptr);
     }
 
-    if (!opts.trace_file.empty())
-        obs::TraceSession::start(opts.trace_file);
-    if (!opts.flight_recorder_base.empty()) {
-        if (obs::FlightRecorder::start(opts.flight_recorder_base +
-                                       ".ring")) {
-            obs::FlightRecorder::installCrashDump(
-                opts.flight_recorder_base + ".json");
-        }
-    }
-    if (metrics_interval_ms > 0) {
-        obs::MetricsExporter::start(opts.metrics_jsonl,
-                                    metrics_interval_ms);
-    }
+    telemetry.start();
 
     const std::string cmd = args[0];
     int rc;
@@ -403,44 +342,6 @@ main(int argc, char **argv)
         return kExitUnknownCommand;
     }
 
-    // Shutdown ordering mirrors gpuscale: stop the exporter (its
-    // final flush must see a live registry), write snapshots, close
-    // the trace, decide degradation, dump the black box last.
-    if (obs::MetricsExporter::active()) {
-        obs::MetricsExporter::stop();
-        inform("wrote %s", opts.metrics_jsonl.c_str());
-    }
-    if (!opts.metrics_file.empty())
-        emitMetrics(opts.metrics_file);
-    if (!opts.exposition_file.empty()) {
-        // gpuscale-lint: allow(fault-coverage): telemetry artifact
-        // written after the service drained; a bad path is a fatal
-        // usage error.
-        std::ofstream os(opts.exposition_file);
-        fatal_if(!os, "cannot write exposition file %s",
-                 opts.exposition_file.c_str());
-        obs::Registry::instance().writeExposition(os);
-        inform("wrote %s", opts.exposition_file.c_str());
-    }
-    if (!opts.trace_file.empty()) {
-        const size_t spans = obs::TraceSession::stop();
-        inform("wrote %s (%zu spans)", opts.trace_file.c_str(),
-               spans);
-    }
-    if (rc == kExitOk && obs::degradationCount() > 0) {
-        warn("run completed with %llu degradation(s); exiting %d",
-             static_cast<unsigned long long>(obs::degradationCount()),
-             kExitDegraded);
-        rc = kExitDegraded;
-    }
-    if (obs::FlightRecorder::active()) {
-        if (rc == kExitDegraded) {
-            const std::string dump_path =
-                opts.flight_recorder_base + ".json";
-            obs::FlightRecorder::dump(dump_path, "degraded-exit-4");
-            inform("wrote %s", dump_path.c_str());
-        }
-        obs::FlightRecorder::stop();
-    }
-    return rc;
+    // Unlike gpuscale, the daemon leaves stdout to `call` responses.
+    return telemetry.finish(rc, /*print_table=*/false);
 }

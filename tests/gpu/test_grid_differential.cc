@@ -16,7 +16,6 @@
 #include "gpu/analytic_model.hh"
 #include "gpu/config_grid.hh"
 #include "harness/noise.hh"
-#include "scaling/config_space.hh"
 #include "scaling/surface.hh"
 #include "scaling/taxonomy.hh"
 #include "workloads/archetypes.hh"
@@ -48,8 +47,7 @@ class ScalarOnlyModel : public gpu::PerfModel
 TEST(GridDifferentialTest, BatchedMatchesScalarBitwiseAllKernels)
 {
     const gpu::AnalyticModel model;
-    const auto space = scaling::ConfigSpace::paperGrid();
-    const gpu::ConfigGrid grid = space.grid();
+    const auto grid = gpu::ConfigGrid::paperGrid();
     const auto kernels =
         workloads::WorkloadRegistry::instance().allKernels();
     ASSERT_EQ(kernels.size(), 267u);
@@ -60,9 +58,9 @@ TEST(GridDifferentialTest, BatchedMatchesScalarBitwiseAllKernels)
         const auto batched = model.evaluateGrid(*kernel, grid);
         ASSERT_EQ(batched.size(), grid.size()) << kernel->name;
         for (size_t i = 0; i < grid.size(); ++i) {
-            const auto idx = space.unflatten(i);
+            const auto idx = grid.unflatten(i);
             const gpu::KernelPerf scalar =
-                model.estimate(*kernel, space.at(i));
+                model.estimate(*kernel, grid.at(i));
             // EXPECT_EQ on doubles is exact bit-for-bit comparison
             // (modulo -0.0 == 0.0, which never arises for runtimes).
             ASSERT_EQ(batched[i].time_s, scalar.time_s)
@@ -84,8 +82,7 @@ TEST(GridDifferentialTest, PerPointFieldsMatchOnSpotKernels)
     // surface (per-resource terms, occupancy, rates) is spot-checked
     // on a few structurally distinct kernels to keep runtime sane.
     const gpu::AnalyticModel model;
-    const auto space = scaling::ConfigSpace::paperGrid();
-    const gpu::ConfigGrid grid = space.grid();
+    const auto grid = gpu::ConfigGrid::paperGrid();
     const auto &registry = workloads::WorkloadRegistry::instance();
 
     for (const char *name :
@@ -95,8 +92,7 @@ TEST(GridDifferentialTest, PerPointFieldsMatchOnSpotKernels)
         ASSERT_NE(kernel, nullptr) << name;
         const auto batched = model.evaluateGrid(*kernel, grid);
         for (size_t i = 0; i < grid.size(); ++i) {
-            const gpu::KernelPerf s = model.estimate(*kernel,
-                                                     space.at(i));
+            const gpu::KernelPerf s = model.estimate(*kernel, grid.at(i));
             const gpu::KernelPerf &b = batched[i];
             ASSERT_EQ(b.t_compute, s.t_compute) << name << " " << i;
             ASSERT_EQ(b.t_lds, s.t_lds) << name << " " << i;
@@ -122,24 +118,23 @@ TEST(GridDifferentialTest, TaxonomyClassesIdenticalEndToEnd)
     // Classify every kernel from scalar-built and batched-built
     // surfaces; the taxonomy must agree kernel-for-kernel.
     const gpu::AnalyticModel model;
-    const auto space = scaling::ConfigSpace::paperGrid();
-    const gpu::ConfigGrid grid = space.grid();
+    const auto grid = gpu::ConfigGrid::paperGrid();
     const auto kernels =
         workloads::WorkloadRegistry::instance().allKernels();
 
     for (const auto *kernel : kernels) {
-        std::vector<double> scalar_rt(space.size());
-        for (size_t i = 0; i < space.size(); ++i)
-            scalar_rt[i] = model.estimate(*kernel, space.at(i)).time_s;
+        std::vector<double> scalar_rt(grid.size());
+        for (size_t i = 0; i < grid.size(); ++i)
+            scalar_rt[i] = model.estimate(*kernel, grid.at(i)).time_s;
         const auto batched = model.evaluateGrid(*kernel, grid);
         std::vector<double> batched_rt(batched.size());
         for (size_t i = 0; i < batched.size(); ++i)
             batched_rt[i] = batched[i].time_s;
 
         const auto cls_scalar = scaling::classifySurface(
-            scaling::ScalingSurface(kernel->name, space, scalar_rt));
+            scaling::ScalingSurface(kernel->name, grid, scalar_rt));
         const auto cls_batched = scaling::classifySurface(
-            scaling::ScalingSurface(kernel->name, space, batched_rt));
+            scaling::ScalingSurface(kernel->name, grid, batched_rt));
         EXPECT_EQ(cls_scalar.cls, cls_batched.cls) << kernel->name;
     }
 }
@@ -148,8 +143,7 @@ TEST(GridDifferentialTest, DefaultEvaluateGridIsTheScalarOracle)
 {
     const ScalarOnlyModel scalar_only;
     const gpu::AnalyticModel analytic;
-    const auto space = scaling::ConfigSpace::testGrid();
-    const gpu::ConfigGrid grid = space.grid();
+    const auto grid = gpu::ConfigGrid::testGrid();
     const auto *kernel =
         workloads::WorkloadRegistry::instance().findKernel(
             "rodinia/hotspot/calculate_temp");
@@ -162,7 +156,7 @@ TEST(GridDifferentialTest, DefaultEvaluateGridIsTheScalarOracle)
     ASSERT_EQ(defaults.size(), grid.size());
     for (size_t i = 0; i < grid.size(); ++i) {
         EXPECT_EQ(defaults[i].time_s,
-                  scalar_only.estimate(*kernel, space.at(i)).time_s);
+                  scalar_only.estimate(*kernel, grid.at(i)).time_s);
         EXPECT_EQ(defaults[i].time_s, batched[i].time_s);
     }
 }
@@ -173,8 +167,7 @@ TEST(GridDifferentialTest, NoisyBatchedMatchesNoisyScalar)
     // perturbation of its scalar path.
     const gpu::AnalyticModel inner;
     const harness::NoisyModel noisy(inner, 0.05, 42);
-    const auto space = scaling::ConfigSpace::testGrid();
-    const gpu::ConfigGrid grid = space.grid();
+    const auto grid = gpu::ConfigGrid::testGrid();
     const auto *kernel =
         workloads::WorkloadRegistry::instance().findKernel(
             "shoc/reduction/reduce_stage");
@@ -184,7 +177,7 @@ TEST(GridDifferentialTest, NoisyBatchedMatchesNoisyScalar)
     ASSERT_EQ(batched.size(), grid.size());
     for (size_t i = 0; i < grid.size(); ++i) {
         EXPECT_EQ(batched[i].time_s,
-                  noisy.estimate(*kernel, space.at(i)).time_s);
+                  noisy.estimate(*kernel, grid.at(i)).time_s);
     }
 }
 
@@ -194,8 +187,7 @@ TEST(GridDifferentialTest, RuntimesHotPathMatchesEvaluateGridAllKernels)
     // the flat vector must be bitwise identical to evaluateGrid()'s
     // time_s for every zoo kernel and every paper-grid point.
     const gpu::AnalyticModel model;
-    const gpu::ConfigGrid grid =
-        scaling::ConfigSpace::paperGrid().grid();
+    const auto grid = gpu::ConfigGrid::paperGrid();
     const auto kernels =
         workloads::WorkloadRegistry::instance().allKernels();
 
@@ -317,18 +309,20 @@ TEST(GridDifferentialTest, NoisyRuntimesMatchNoisyScalarOnIrregularGrid)
     expectBitwiseMatch(noisy, kernel, grid);
 }
 
-TEST(GridDifferentialTest, GridFlattenMatchesConfigSpace)
+TEST(GridDifferentialTest, FlatIndexMatchesAxisIndices)
 {
-    const auto space = scaling::ConfigSpace::paperGrid();
-    const gpu::ConfigGrid grid = space.grid();
-    ASSERT_EQ(grid.size(), space.size());
+    // Surfaces index runtimes by flat position and evaluateGrid walks
+    // the axes, so at(flat) must be the point the walk visits there.
+    const auto grid = gpu::ConfigGrid::paperGrid();
     for (size_t cu = 0; cu < grid.numCu(); ++cu) {
         for (size_t core = 0; core < grid.numCoreClk(); ++core) {
             for (size_t mem = 0; mem < grid.numMemClk(); ++mem) {
-                EXPECT_EQ(grid.flatten(cu, core, mem),
-                          space.flatten(cu, core, mem));
-                EXPECT_EQ(grid.at(cu, core, mem).id(),
-                          space.at(cu, core, mem).id());
+                const size_t flat = grid.flatten(cu, core, mem);
+                EXPECT_EQ(grid.at(flat).id(), grid.at(cu, core, mem).id());
+                const auto idx = grid.unflatten(flat);
+                EXPECT_EQ(idx.cu, cu);
+                EXPECT_EQ(idx.core, core);
+                EXPECT_EQ(idx.mem, mem);
             }
         }
     }

@@ -19,11 +19,11 @@
 
 #include "base/fault.hh"
 #include "gpu/analytic_model.hh"
+#include "gpu/config_grid.hh"
 #include "harness/checkpoint.hh"
 #include "harness/experiment.hh"
 #include "harness/sweep_cache.hh"
 #include "obs/metrics.hh"
-#include "scaling/config_space.hh"
 #include "support/temp_dir.hh"
 
 namespace gpuscale {
@@ -218,11 +218,11 @@ TEST(Checkpoint, RepeatCensusOverOneJournalAppendsNothing)
     test::ScopedTempDir dir("ckpt_repeat");
     const std::string path = dir.path() + "/census.journal";
     const gpu::AnalyticModel model;
-    const auto space = scaling::ConfigSpace::testGrid();
+    const auto space = gpu::ConfigGrid::testGrid();
     harness::SweepCache::instance().clear();
 
     harness::CensusJournal journal(dir.path(), model.fingerprint(),
-                                   space.grid().fingerprint());
+                                   space.fingerprint());
     ASSERT_TRUE(journal.active());
     const auto first = harness::runCensus(
         model, space, scaling::TaxonomyParams{}, nullptr, &journal);

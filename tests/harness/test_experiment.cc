@@ -18,7 +18,7 @@ const CensusResult &
 testCensus()
 {
     static const CensusResult census = runCensus(
-        gpu::AnalyticModel{}, scaling::ConfigSpace::testGrid());
+        gpu::AnalyticModel{}, gpu::ConfigGrid::testGrid());
     return census;
 }
 

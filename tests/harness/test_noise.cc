@@ -89,7 +89,7 @@ TEST(NoiseTest, MildNoisePreservesClassification)
     const NoisyModel noisy(inner, 0.02, 11);
     const auto kernel = workloads::streaming(
         "t/n/stable", {.wgs = 16384, .wi_per_wg = 256});
-    const auto space = scaling::ConfigSpace::paperGrid();
+    const auto space = gpu::ConfigGrid::paperGrid();
 
     const auto clean = scaling::classifySurface(
         sweepKernel(inner, kernel, space));

@@ -50,7 +50,7 @@ TEST(SweepTest, SurfaceMatchesDirectEstimates)
     const gpu::AnalyticModel model;
     const auto kernel = workloads::streaming(
         "t/s/k", {.wgs = 1024, .wi_per_wg = 256});
-    const auto space = scaling::ConfigSpace::testGrid();
+    const auto space = gpu::ConfigGrid::testGrid();
     const auto surface = sweepKernel(model, kernel, space);
 
     EXPECT_EQ(surface.kernelName(), "t/s/k");
@@ -67,7 +67,7 @@ TEST(SweepTest, BatchMatchesSingleSweeps)
         "t/s/k1", {.wgs = 1024, .wi_per_wg = 256});
     const auto k2 = workloads::denseCompute(
         "t/c/k2", {.wgs = 1024, .wi_per_wg = 256});
-    const auto space = scaling::ConfigSpace::testGrid();
+    const auto space = gpu::ConfigGrid::testGrid();
 
     const auto batch = sweepKernels(model, {&k1, &k2}, space);
     ASSERT_EQ(batch.size(), 2u);
@@ -87,7 +87,7 @@ TEST(SweepTest, BackToBackSweepsReusePoolWorkers)
         "t/s/k1", {.wgs = 1024, .wi_per_wg = 256});
     const auto k2 = workloads::denseCompute(
         "t/c/k2", {.wgs = 1024, .wi_per_wg = 256});
-    const auto space = scaling::ConfigSpace::testGrid();
+    const auto space = gpu::ConfigGrid::testGrid();
     const std::vector<const gpu::KernelDesc *> kernels{&k1, &k2};
 
     // Warm the pool with the first sweep, then assert the second
@@ -101,7 +101,7 @@ TEST(SweepTest, BackToBackSweepsReusePoolWorkers)
 TEST(SweepTest, EmptyBatch)
 {
     const gpu::AnalyticModel model;
-    const auto space = scaling::ConfigSpace::testGrid();
+    const auto space = gpu::ConfigGrid::testGrid();
     EXPECT_TRUE(sweepKernels(model, {}, space).empty());
 }
 

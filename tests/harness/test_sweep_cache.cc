@@ -14,13 +14,13 @@
 #include <vector>
 
 #include "gpu/analytic_model.hh"
+#include "gpu/config_grid.hh"
 #include "harness/noise.hh"
 #include "harness/parallel.hh"
 #include "harness/sweep.hh"
 #include "harness/sweep_cache.hh"
 #include "obs/metrics.hh"
 #include "obs/sharded.hh"
-#include "scaling/config_space.hh"
 #include "workloads/archetypes.hh"
 #include "workloads/registry.hh"
 
@@ -50,7 +50,7 @@ class SweepCacheTest : public ::testing::Test
 TEST_F(SweepCacheTest, KeyIsStableAndSensitiveToEveryInput)
 {
     const gpu::AnalyticModel model;
-    const auto grid = scaling::ConfigSpace::testGrid().grid();
+    const auto grid = gpu::ConfigGrid::testGrid();
     const auto kernel = workloads::streaming(
         "cache/test/k", {.wgs = 64, .wi_per_wg = 256});
 
@@ -106,7 +106,7 @@ TEST_F(SweepCacheTest, UncacheableModelsGetEmptyKeysAndAlwaysMiss)
 
     const Uncacheable model;
     EXPECT_EQ(model.fingerprint(), "");
-    const auto grid = scaling::ConfigSpace::testGrid().grid();
+    const auto grid = gpu::ConfigGrid::testGrid();
     const auto kernel = workloads::streaming(
         "cache/test/k", {.wgs = 64, .wi_per_wg = 256});
     EXPECT_EQ(harness::SweepCache::keyFor(model, kernel, grid), "");
@@ -134,7 +134,7 @@ TEST_F(SweepCacheTest, NoisyModelIsCacheablePerSigmaAndSeed)
 TEST_F(SweepCacheTest, RepeatSweepHitsAndReturnsIdenticalRuntimes)
 {
     const gpu::AnalyticModel model;
-    const auto space = scaling::ConfigSpace::testGrid();
+    const auto space = gpu::ConfigGrid::testGrid();
     const auto *kernel =
         workloads::WorkloadRegistry::instance().findKernel(
             "rodinia/hotspot/calculate_temp");
@@ -167,7 +167,7 @@ TEST_F(SweepCacheTest, ConcurrentSweepsHitAndMissCoherently)
     // (lookups == hits + misses), every returned surface must be
     // bitwise identical, and TSan must stay quiet.
     const gpu::AnalyticModel model;
-    const auto space = scaling::ConfigSpace::testGrid();
+    const auto space = gpu::ConfigGrid::testGrid();
     const auto kernels =
         workloads::WorkloadRegistry::instance().allKernels();
     const std::vector<const gpu::KernelDesc *> subset(
@@ -208,7 +208,7 @@ TEST_F(SweepCacheTest, ConcurrentMixedModelsNeverCrossContaminate)
     // same kernels concurrently must never serve each other's data.
     const gpu::AnalyticModel clean;
     const harness::NoisyModel noisy(clean, 0.1, 3);
-    const auto space = scaling::ConfigSpace::testGrid();
+    const auto space = gpu::ConfigGrid::testGrid();
     const auto kernels =
         workloads::WorkloadRegistry::instance().allKernels();
     const std::vector<const gpu::KernelDesc *> subset(

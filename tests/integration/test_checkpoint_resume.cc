@@ -26,10 +26,10 @@
 
 #include "base/fault.hh"
 #include "gpu/analytic_model.hh"
+#include "gpu/config_grid.hh"
 #include "harness/checkpoint.hh"
 #include "harness/experiment.hh"
 #include "obs/metrics.hh"
-#include "scaling/config_space.hh"
 #include "support/temp_dir.hh"
 
 namespace gpuscale {
@@ -47,7 +47,7 @@ TEST(CheckpointResume, KilledCensusResumesBitwiseIdentical)
     // Paper grid: records are ~7 KB each, so the journal's 64 KB
     // group-commit flushes roughly every 9 kernels and the parent can
     // observe progress early.
-    const auto space = scaling::ConfigSpace::paperGrid();
+    const auto space = gpu::ConfigGrid::paperGrid();
     test::ScopedTempDir dir("ckpt_resume");
     const std::string journal_path = dir.sub("census.journal");
 
@@ -62,7 +62,7 @@ TEST(CheckpointResume, KilledCensusResumesBitwiseIdentical)
             {{"sweep.kernel", 1.0, FaultKind::Delay, 15.0}}, 0);
         harness::CensusJournal journal(dir.path(),
                                        model.fingerprint(),
-                                       space.grid().fingerprint());
+                                       space.fingerprint());
         harness::runCensus(model, space, scaling::TaxonomyParams{},
                            nullptr, &journal);
         _exit(0);
@@ -94,7 +94,7 @@ TEST(CheckpointResume, KilledCensusResumesBitwiseIdentical)
 
     // Resume: the journal must replay a prefix of the census...
     harness::CensusJournal resumed(dir.path(), model.fingerprint(),
-                                   space.grid().fingerprint());
+                                   space.fingerprint());
     ASSERT_TRUE(resumed.active());
     EXPECT_GT(resumed.loadedRecords(), 0u);
     if (killed)

@@ -268,7 +268,7 @@ TEST(EndToEndTest, SweepEmitsRequiredTelemetry)
     obs::TraceSession::start(trace_path);
 
     const gpu::AnalyticModel model;
-    const auto space = scaling::ConfigSpace::testGrid();
+    const auto space = gpu::ConfigGrid::testGrid();
     const auto kernels =
         workloads::WorkloadRegistry::instance().allKernels();
     const auto surfaces = harness::sweepKernels(model, kernels, space);
@@ -321,7 +321,7 @@ TEST(EndToEndTest, CensusProducesValidManifest)
     const gpu::AnalyticModel model;
     const obs::ManifestTimer timer;
     const auto census = harness::runCensus(
-        model, scaling::ConfigSpace::testGrid());
+        model, gpu::ConfigGrid::testGrid());
 
     obs::RunManifest manifest =
         harness::censusManifest(census, model);

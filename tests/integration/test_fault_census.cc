@@ -12,13 +12,13 @@
 
 #include "base/fault.hh"
 #include "gpu/analytic_model.hh"
+#include "gpu/config_grid.hh"
 #include "harness/checkpoint.hh"
 #include "harness/experiment.hh"
 #include "harness/sweep_cache.hh"
 #include "obs/fault_telemetry.hh"
 #include "obs/metrics.hh"
 #include "obs/retry.hh"
-#include "scaling/config_space.hh"
 #include "support/temp_dir.hh"
 
 namespace gpuscale {
@@ -34,7 +34,7 @@ TEST(FaultCensus, DiskFaultsDegradeButNeverChangeResults)
 {
     obs::installFaultTelemetry();
     const gpu::AnalyticModel model;
-    const auto space = scaling::ConfigSpace::testGrid();
+    const auto space = gpu::ConfigGrid::testGrid();
 
     // Reference: no journal, no faults.
     const auto clean = harness::runCensus(model, space);
@@ -59,7 +59,7 @@ TEST(FaultCensus, DiskFaultsDegradeButNeverChangeResults)
         harness::SweepCache::instance().clear();
         harness::CensusJournal journal(journal_dir.path(),
                                        model.fingerprint(),
-                                       space.grid().fingerprint());
+                                       space.fingerprint());
         return harness::runCensus(model, space,
                                   scaling::TaxonomyParams{}, nullptr,
                                   &journal);

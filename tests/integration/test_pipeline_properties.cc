@@ -24,8 +24,7 @@ namespace {
 class PipelinePropertyTest : public ::testing::TestWithParam<uint64_t>
 {
   protected:
-    const scaling::ConfigSpace space_ =
-        scaling::ConfigSpace::paperGrid();
+    const gpu::ConfigGrid space_ = gpu::ConfigGrid::paperGrid();
     const gpu::AnalyticModel model_;
 };
 
@@ -51,8 +50,8 @@ TEST_P(PipelinePropertyTest, ClassifierIsTotalAndFinite)
             EXPECT_LE(verdict->linearity_r2, 1.0 + 1e-12)
                 << kernel.name;
         }
-        EXPECT_GE(c.cu90, space_.cuValues().front()) << kernel.name;
-        EXPECT_LE(c.cu90, space_.cuValues().back()) << kernel.name;
+        EXPECT_GE(c.cu90, space_.cu_values.front()) << kernel.name;
+        EXPECT_LE(c.cu90, space_.cu_values.back()) << kernel.name;
         EXPECT_GE(c.perf_range, 1.0 - 1e-12) << kernel.name;
     }
 }

@@ -37,11 +37,11 @@
 
 #include "base/fault.hh"
 #include "gpu/analytic_model.hh"
+#include "gpu/config_grid.hh"
 #include "harness/checkpoint.hh"
 #include "harness/experiment.hh"
 #include "obs/json.hh"
 #include "obs/retry.hh"
-#include "scaling/config_space.hh"
 #include "scaling/shape.hh"
 #include "scaling/taxonomy.hh"
 #include "service/client.hh"
@@ -257,7 +257,7 @@ TEST(ServiceSaturation, FaultMatrixShedsTypedAndNeverHangs)
 TEST(ServiceResume, KilledServiceResumesBitwise)
 {
     const gpu::AnalyticModel model;
-    const auto space = scaling::ConfigSpace::paperGrid();
+    const auto space = gpu::ConfigGrid::paperGrid();
     test::ScopedTempDir dir("svc_resume");
     const std::string journal_path = dir.sub("census.journal");
     const std::string sock1 = dir.sub("s1.sock");

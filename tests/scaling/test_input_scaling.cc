@@ -17,10 +17,10 @@ namespace gpuscale {
 namespace scaling {
 namespace {
 
-const ConfigSpace &
+const gpu::ConfigGrid &
 grid()
 {
-    static const ConfigSpace space = ConfigSpace::paperGrid();
+    static const gpu::ConfigGrid space = gpu::ConfigGrid::paperGrid();
     return space;
 }
 

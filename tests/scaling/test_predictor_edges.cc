@@ -85,7 +85,7 @@ TEST(PredictorEdgeTest, SinglePointAxesGrid)
     // needs curves to walk, so the classifications are hand-built;
     // the predictor must still learn templates and predict the one
     // point exactly.
-    const ConfigSpace space({8}, {1000.0}, {1200.0});
+    const gpu::ConfigGrid space{{8}, {1000.0}, {1200.0}, gpu::GpuConfig{}};
     ASSERT_EQ(space.size(), 1u);
 
     std::vector<ScalingSurface> surfaces;

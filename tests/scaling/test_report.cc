@@ -27,13 +27,12 @@ sampleSurface(const std::string &name = "t/r/k")
     auto kernel = workloads::streaming(
         "x", {.wgs = 1024, .wi_per_wg = 256});
     kernel.name = name;
-    return harness::sweepKernel(model, kernel,
-                                ConfigSpace::testGrid());
+    return harness::sweepKernel(model, kernel, gpu::ConfigGrid::testGrid());
 }
 
 TEST(ReportTest, ConfigSpaceTableContents)
 {
-    const auto table = configSpaceTable(ConfigSpace::paperGrid());
+    const auto table = configSpaceTable(gpu::ConfigGrid::paperGrid());
     const std::string out = table.render();
     EXPECT_NE(out.find("11.00x"), std::string::npos);
     EXPECT_NE(out.find("5.00x"), std::string::npos);
@@ -87,8 +86,7 @@ TEST(ReportTest, SurfaceCsvRoundTrip)
                          original.runtimes()[i])
             << i;
     }
-    EXPECT_EQ(restored.space().cuValues(),
-              original.space().cuValues());
+    EXPECT_EQ(restored.space().cu_values, original.space().cu_values);
 }
 
 TEST(ReportTest, MultiKernelCsvPreservesOrder)
@@ -140,6 +138,17 @@ TEST_F(ReportErrorTest, IncompleteGridIsFatal)
 TEST_F(ReportErrorTest, MissingColumnIsFatal)
 {
     EXPECT_THROW(readSurfacesCsv("a,b\n1,2\n"), std::runtime_error);
+}
+
+TEST_F(ReportErrorTest, InvalidInferredGridIsFatal)
+{
+    // The inferred grid is validated before any surface is built: a
+    // file with no samples has empty axes, and a zero-CU row puts an
+    // impossible machine on the grid.
+    const std::string header = "kernel,cus,core_mhz,mem_mhz,runtime_s\n";
+    EXPECT_THROW(readSurfacesCsv(header), std::runtime_error);
+    EXPECT_THROW(readSurfacesCsv(header + "k,0,1000,1250,0.001\n"),
+                 std::runtime_error);
 }
 
 } // namespace

@@ -37,12 +37,11 @@ denseSurface(const std::string &name)
     const auto *kernel =
         workloads::WorkloadRegistry::instance().findKernel(name);
     EXPECT_NE(kernel, nullptr) << name;
-    return harness::sweepKernel(model, *kernel,
-                                ConfigSpace::testGrid());
+    return harness::sweepKernel(model, *kernel, gpu::ConfigGrid::testGrid());
 }
 
 std::vector<size_t>
-allIndices(const ConfigSpace &space)
+allIndices(const gpu::ConfigGrid &space)
 {
     std::vector<size_t> idx(space.size());
     for (size_t i = 0; i < idx.size(); ++i)
@@ -67,7 +66,7 @@ TEST(SparsePredictorTest, FullGridFitReproducesDenseCensusBitwise)
     // grid point *is* the dense census — surface and classification
     // must match bitwise for every noise-free zoo kernel.
     const gpu::AnalyticModel model;
-    const auto space = ConfigSpace::testGrid();
+    const auto space = gpu::ConfigGrid::testGrid();
     const SparsePredictor predictor(space);
     const auto indices = allIndices(space);
 
@@ -89,7 +88,7 @@ TEST(SparsePredictorTest, FullGridFitReproducesDenseCensusBitwise)
 
 TEST(SparsePredictorTest, ReconstructionInvariantToSampleOrder)
 {
-    const auto space = ConfigSpace::testGrid();
+    const auto space = gpu::ConfigGrid::testGrid();
     const SparsePredictor predictor(space);
     const auto dense =
         denseSurface("rodinia/hotspot/calculate_temp");
@@ -124,7 +123,7 @@ TEST(SparsePredictorTest, ReconstructionInvariantToSampleOrder)
 
 TEST(SparsePredictorTest, LhsPlanIsDeterministicDistinctAndCovering)
 {
-    const auto space = ConfigSpace::testGrid();
+    const auto space = gpu::ConfigGrid::testGrid();
     SparseFitOptions options;
     options.seed = 42;
     const SparsePredictor a(space, options);
@@ -154,7 +153,7 @@ TEST(SparsePredictorTest, LhsPlanIsDeterministicDistinctAndCovering)
 
 TEST(SparsePredictorTest, AnchorsAreTheClassificationSlices)
 {
-    const auto space = ConfigSpace::testGrid();
+    const auto space = gpu::ConfigGrid::testGrid();
     const SparsePredictor predictor(space);
     const auto anchors = predictor.anchorConfigs();
 
@@ -177,7 +176,7 @@ TEST(SparsePredictorTest, AnchorsAreTheClassificationSlices)
 
 TEST(SparsePredictorTest, ActivePlanIdenticalAcrossRunsAndThreads)
 {
-    const auto space = ConfigSpace::testGrid();
+    const auto space = gpu::ConfigGrid::testGrid();
     const SparsePredictor predictor(space);
     const auto dense = denseSurface("rodinia/bfs/kernel2");
     const auto measure = [&](size_t flat) {
@@ -203,7 +202,7 @@ TEST(SparsePredictorTest, ActivePlanIdenticalAcrossRunsAndThreads)
 
 TEST(SparsePredictorTest, MeasuredPointsPassThroughWithZeroBands)
 {
-    const auto space = ConfigSpace::testGrid();
+    const auto space = gpu::ConfigGrid::testGrid();
     const SparsePredictor predictor(space);
     const auto dense = denseSurface("rodinia/bfs/kernel1");
 
@@ -252,7 +251,7 @@ class SparsePredictorFatalTest : public ::testing::Test
 
 TEST_F(SparsePredictorFatalTest, RejectsBadBudgetsAndSamples)
 {
-    const auto space = ConfigSpace::testGrid();
+    const auto space = gpu::ConfigGrid::testGrid();
     const SparsePredictor predictor(space);
     const auto dense = denseSurface("rodinia/hotspot/calculate_temp");
     const auto measure = [&](size_t flat) {

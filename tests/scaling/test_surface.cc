@@ -19,7 +19,7 @@ namespace {
 ScalingSurface
 idealSurface()
 {
-    const ConfigSpace space = ConfigSpace::testGrid();
+    const gpu::ConfigGrid space = gpu::ConfigGrid::testGrid();
     std::vector<double> runtimes(space.size());
     for (size_t i = 0; i < space.size(); ++i) {
         const auto cfg = space.at(i);
@@ -93,7 +93,7 @@ TEST(SurfaceTest, ClockPlaneRowMajor)
 
 TEST(SurfaceTest, RobustRangeIgnoresOutliers)
 {
-    const ConfigSpace space = ConfigSpace::testGrid();
+    const gpu::ConfigGrid space = gpu::ConfigGrid::testGrid();
     std::vector<double> runtimes(space.size(), 1.0);
     runtimes[3] = 0.2; // one spuriously fast sample
     const ScalingSurface s("synthetic/outlier/k", space,
@@ -120,14 +120,14 @@ class SurfaceErrorTest : public ::testing::Test
 
 TEST_F(SurfaceErrorTest, SizeMismatchIsFatal)
 {
-    const ConfigSpace space = ConfigSpace::testGrid();
+    const gpu::ConfigGrid space = gpu::ConfigGrid::testGrid();
     EXPECT_THROW(ScalingSurface("k", space, {1.0, 2.0}),
                  std::runtime_error);
 }
 
 TEST_F(SurfaceErrorTest, NonPositiveRuntimeIsFatal)
 {
-    const ConfigSpace space = ConfigSpace::testGrid();
+    const gpu::ConfigGrid space = gpu::ConfigGrid::testGrid();
     std::vector<double> runtimes(space.size(), 1.0);
     runtimes[5] = 0.0;
     EXPECT_THROW(ScalingSurface("k", space, std::move(runtimes)),

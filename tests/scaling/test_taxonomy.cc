@@ -23,7 +23,7 @@ ScalingSurface
 surfaceFromLaw(const std::string &name,
                const std::function<double(double, double, double)> &law)
 {
-    const ConfigSpace space = ConfigSpace::paperGrid();
+    const gpu::ConfigGrid space = gpu::ConfigGrid::paperGrid();
     std::vector<double> runtimes(space.size());
     for (size_t i = 0; i < space.size(); ++i) {
         const auto cfg = space.at(i);

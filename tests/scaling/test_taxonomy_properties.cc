@@ -45,7 +45,7 @@ zooSurfaces()
         const gpu::AnalyticModel model;
         return harness::sweepKernels(
             model, workloads::WorkloadRegistry::instance().allKernels(),
-            scaling::ConfigSpace::testGrid());
+            gpu::ConfigGrid::testGrid());
     }();
     return surfaces;
 }
@@ -116,7 +116,7 @@ TEST(TaxonomyPropertyTest, ZeroNoiseReproducesCleanClassBitwise)
 {
     const gpu::AnalyticModel inner;
     const harness::NoisyModel clean(inner, 0.0, 99);
-    const auto space = scaling::ConfigSpace::testGrid();
+    const auto space = gpu::ConfigGrid::testGrid();
     const auto kernels =
         workloads::WorkloadRegistry::instance().allKernels();
 
@@ -153,7 +153,7 @@ TEST(TaxonomyPropertyTest, NoiseAtTinySigmaRarelyMovesClasses)
     const auto kernels =
         workloads::WorkloadRegistry::instance().allKernels();
     const auto noisy_surfaces = harness::sweepKernels(
-        tiny, kernels, scaling::ConfigSpace::testGrid());
+        tiny, kernels, gpu::ConfigGrid::testGrid());
 
     const auto &base_surfaces = zooSurfaces();
     size_t moved = 0;

@@ -11,9 +11,9 @@
 #include <gtest/gtest.h>
 
 #include "gpu/analytic_model.hh"
+#include "gpu/config_grid.hh"
 #include "gpu/gpu_config.hh"
 #include "harness/sweep.hh"
-#include "scaling/config_space.hh"
 #include "scaling/taxonomy.hh"
 
 namespace gpuscale {
@@ -24,7 +24,7 @@ scaling::KernelClassification
 classify(const gpu::KernelDesc &kernel)
 {
     const gpu::AnalyticModel model;
-    const auto space = scaling::ConfigSpace::paperGrid();
+    const auto space = gpu::ConfigGrid::paperGrid();
     return scaling::classifySurface(
         harness::sweepKernel(model, kernel, space));
 }
