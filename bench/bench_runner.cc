@@ -15,9 +15,9 @@
  * and emits BENCH_resilience.json; the journal's write overhead vs
  * the unjournaled run is the resilience perf gate (<= 5%).
  *
- * Also times the hot sweep with the sharded telemetry instruments
- * quiesced vs recording and emits BENCH_telemetry.json; the recording
- * overhead is the instrumentation perf gate (<= 2%).
+ * Also times the hot sweep with the telemetry instruments quiesced
+ * vs recording and emits BENCH_telemetry.json; the recording overhead
+ * is the instrumentation perf gate (<= 2%).
  *
  * Also sweeps the sparse census over a ladder of sample budgets for
  * both samplers and emits BENCH_sparse.json: classification-agreement
@@ -69,7 +69,6 @@
 #include "harness/sweep_cache.hh"
 #include "obs/json.hh"
 #include "obs/metrics.hh"
-#include "obs/sharded.hh"
 #include "service/client.hh"
 #include "service/server.hh"
 #include "workloads/registry.hh"
@@ -324,7 +323,7 @@ run(const RunnerOptions &opts)
     w.key("metrics");
     w.beginObject();
     w.key("sweep.estimates.count").value(static_cast<uint64_t>(
-        registry.shardedCounter("sweep.estimates.count").value()));
+        registry.counter("sweep.estimates.count").value()));
     w.key("sweep.cache.hits").value(static_cast<uint64_t>(
         registry.counter("sweep.cache.hits").value()));
     w.key("sweep.cache.misses").value(static_cast<uint64_t>(
@@ -358,8 +357,8 @@ run(const RunnerOptions &opts)
     inform("wrote %s", opts.resilience_output.c_str());
 
     //
-    // 5. Telemetry gate: the same hot sweep with the sharded
-    //    instruments quiesced (inc()/record() return after one
+    // 5. Telemetry gate: the same hot sweep with the counters and
+    //    histograms quiesced (inc()/record() return after one
     //    relaxed load — the zero-cost baseline) vs fully recording.
     //    The recording overhead must stay <= 2%.
     //
@@ -394,8 +393,6 @@ run(const RunnerOptions &opts)
                 instrumented.min_s, instrumented.runs,
                 telemetry_overhead_pct);
 
-    const auto shard_values =
-        registry.shardedCounter("sweep.estimates.count").shardValues();
     std::ofstream tos(opts.telemetry_output);
     fatal_if(!tos, "cannot write %s", opts.telemetry_output.c_str());
     obs::JsonWriter tw(tos);
@@ -404,17 +401,11 @@ run(const RunnerOptions &opts)
     tw.key("benchmark").value("telemetry");
     tw.key("grid").value(opts.test_grid ? "test" : "paper");
     tw.key("threads").value(static_cast<uint64_t>(threads));
-    tw.key("shard_count")
-        .value(static_cast<uint64_t>(obs::shardCount()));
     tw.key("quiesced");
     writeTiming(tw, quiesced, estimates);
     tw.key("instrumented");
     writeTiming(tw, instrumented, estimates);
     tw.key("overhead_pct").value(telemetry_overhead_pct);
-    tw.key("shard_values").beginArray();
-    for (const uint64_t v : shard_values)
-        tw.value(v);
-    tw.endArray();
     tw.endObject();
     tos << '\n';
     fatal_if(!tw.complete(), "telemetry BENCH JSON incomplete");
@@ -556,7 +547,7 @@ run(const RunnerOptions &opts)
     sw.key("metrics");
     sw.beginObject();
     sw.key("sparse.samples.count").value(static_cast<uint64_t>(
-        registry.shardedCounter("sparse.samples.count").value()));
+        registry.counter("sparse.samples.count").value()));
     sw.endObject();
     sw.endObject();
     sos << '\n';

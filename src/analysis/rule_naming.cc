@@ -76,8 +76,7 @@ class NamingRule : public Rule
     {
         for (const auto &method :
              {std::string("counter"), std::string("gauge"),
-              std::string("histogram"), std::string("shardedCounter"),
-              std::string("shardedHistogram")})
+              std::string("histogram")})
         {
             for (size_t off : findTokens(file, method)) {
                 const std::string &code = file.code();

@@ -28,9 +28,9 @@
  *                 afterwards; a silently dropped error code swallows
  *                 filesystem failures.
  *  - description: instruments registered via counter()/gauge()/
- *                 histogram() (and the sharded variants) must carry a
- *                 non-empty description — it becomes the "# HELP"
- *                 line and the metrics-table entry operators read.
+ *                 histogram() must carry a non-empty description —
+ *                 it becomes the "# HELP" line and the metrics-table
+ *                 entry operators read.
  *  - fp-determinism: reassociation-prone float patterns (accumulate/
  *                 reduce over doubles, unordered-container iteration
  *                 feeding arithmetic or serialization, fast-math

@@ -20,7 +20,6 @@
 
 #include <cstdint>
 
-#include "base/stats.hh"
 #include "gpu/perf_model.hh"
 
 namespace gpuscale {
@@ -42,6 +41,22 @@ struct EventSimParams {
     uint64_t seed = 0x5eedu;
 };
 
+/**
+ * Simulator statistics from one instrumented run (the parallel phase
+ * at the requested configuration).
+ */
+struct EventSimStats {
+    int64_t waves_simulated = 0;      ///< wavefronts simulated
+    int64_t workgroups_simulated = 0; ///< workgroups dispatched
+    uint64_t events = 0;              ///< event-loop iterations
+    double extrapolation = 1.0;       ///< launch shrink factor
+    double makespan_us = 0.0;         ///< simulated makespan
+    double l2_bytes = 0.0;            ///< bytes served by the L2 pipe
+    double dram_bytes = 0.0;          ///< bytes served by DRAM
+    double atomic_ops = 0.0;          ///< atomic operations serviced
+    double dram_utilization = 0.0;    ///< DRAM busy share of makespan
+};
+
 /** The discrete-event model. */
 class EventModel : public PerfModel
 {
@@ -53,12 +68,12 @@ class EventModel : public PerfModel
                         const GpuConfig &cfg) const override;
 
     /**
-     * Like estimate(), additionally recording simulator statistics
-     * (waves/events simulated, per-level bytes, resource busy times)
-     * into the given group — the gem5-style instrumented run.
+     * Like estimate(), additionally filling `stats` with simulator
+     * statistics (waves/events simulated, per-level bytes, DRAM
+     * utilization) — the instrumented run.
      */
     KernelPerf estimate(const KernelDesc &kernel, const GpuConfig &cfg,
-                        stats::StatGroup &stats) const;
+                        EventSimStats &stats) const;
 
     std::string name() const override { return "event"; }
 
@@ -67,11 +82,11 @@ class EventModel : public PerfModel
   private:
     KernelPerf simulateParallelPhase(const KernelDesc &kernel,
                                      const GpuConfig &cfg,
-                                     stats::StatGroup *stats) const;
+                                     EventSimStats *stats) const;
 
     KernelPerf estimateImpl(const KernelDesc &kernel,
                             const GpuConfig &cfg,
-                            stats::StatGroup *stats) const;
+                            EventSimStats *stats) const;
 
     EventSimParams params_;
 };

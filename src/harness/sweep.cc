@@ -23,7 +23,6 @@
 #include "gpu/kernel_desc.hh"
 #include "obs/metrics.hh"
 #include "obs/progress.hh"
-#include "obs/sharded.hh"
 #include "obs/trace.hh"
 #include "parallel.hh"
 #include "sweep_cache.hh"
@@ -33,35 +32,30 @@ namespace harness {
 
 namespace {
 
-/**
- * Cached instrument references for the estimate hot loop.  The
- * instruments every worker updates per kernel or per estimate are
- * sharded (obs/sharded.hh) so pool workers never contend on a shared
- * cache line; the once-per-call shard-count gauge stays plain.
- */
+/** Cached instrument references for the estimate hot loop. */
 struct SweepMetrics {
-    obs::ShardedCounter &estimates;
-    obs::ShardedCounter &kernels;
-    obs::ShardedHistogram &latency;
+    obs::Counter &estimates;
+    obs::Counter &kernels;
+    obs::Histogram &latency;
     obs::Gauge &shards;
-    obs::ShardedHistogram &shard_latency;
+    obs::Histogram &shard_latency;
 
     static SweepMetrics &
     get()
     {
         static SweepMetrics m{
-            obs::Registry::instance().shardedCounter(
+            obs::Registry::instance().counter(
                 "sweep.estimates.count",
                 "model estimates issued by the sweep harness"),
-            obs::Registry::instance().shardedCounter(
+            obs::Registry::instance().counter(
                 "sweep.kernels.count", "kernels swept"),
-            obs::Registry::instance().shardedHistogram(
+            obs::Registry::instance().histogram(
                 "sweep.estimate.latency",
                 "seconds per model estimate"),
             obs::Registry::instance().gauge(
                 "census.shard.count",
                 "kernel shards in the last sweepKernels call"),
-            obs::Registry::instance().shardedHistogram(
+            obs::Registry::instance().histogram(
                 "census.shard.latency",
                 "seconds per kernel shard"),
         };

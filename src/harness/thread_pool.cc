@@ -9,7 +9,6 @@
 
 #include "base/fault.hh"
 #include "base/logging.hh"
-#include "obs/sharded.hh"
 #include "obs/trace.hh"
 
 namespace gpuscale {
@@ -52,16 +51,7 @@ ThreadPool::ensure(unsigned workers)
     workers = std::min(workers, kMaxWorkers);
     std::lock_guard<std::mutex> lock(mu_);
     while (workers_.size() < workers) {
-        // The spawn ordinal doubles as the worker's telemetry-shard
-        // hint: workers spread deterministically across the sharded
-        // instruments' stripes instead of being dealt shards by
-        // first-touch order.
-        const auto ordinal =
-            static_cast<unsigned>(workers_.size());
-        workers_.emplace_back([this, ordinal]() {
-            obs::setThreadShardHint(ordinal);
-            workerLoop();
-        });
+        workers_.emplace_back([this]() { workerLoop(); });
         spawned_.fetch_add(1, std::memory_order_relaxed);
     }
     return static_cast<unsigned>(workers_.size());

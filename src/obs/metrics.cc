@@ -12,20 +12,21 @@
 #include "base/logging.hh"
 #include "base/string_util.hh"
 #include "json.hh"
-#include "sharded.hh"
 
 namespace gpuscale {
 namespace obs {
 
-void
-Gauge::add(double delta)
-{
-    detail::atomicAdd(value_, delta);
-}
-
-namespace detail {
-
 namespace {
+
+/** Relaxed CAS accumulate for atomic doubles (sums across threads). */
+void
+atomicAdd(std::atomic<double> &slot, double delta)
+{
+    double cur = slot.load(std::memory_order_relaxed);
+    while (!slot.compare_exchange_weak(cur, cur + delta,
+                                       std::memory_order_relaxed)) {
+    }
+}
 
 /** CAS-update an atomic double with a monotone min/max combiner. */
 template <typename Cmp>
@@ -44,79 +45,10 @@ atomicExtreme(std::atomic<double> &slot, double v, Cmp better)
 } // namespace
 
 void
-atomicAdd(std::atomic<double> &slot, double delta)
+Gauge::add(double delta)
 {
-    double cur = slot.load(std::memory_order_relaxed);
-    while (!slot.compare_exchange_weak(cur, cur + delta,
-                                       std::memory_order_relaxed)) {
-    }
+    atomicAdd(value_, delta);
 }
-
-void
-atomicMin(std::atomic<double> &slot, double v)
-{
-    atomicExtreme(slot, v, [](double a, double b) { return a < b; });
-}
-
-void
-atomicMax(std::atomic<double> &slot, double v)
-{
-    atomicExtreme(slot, v, [](double a, double b) { return a > b; });
-}
-
-double
-percentileFromBuckets(
-    const std::array<uint64_t, Histogram::kNumBuckets> &snap, double p,
-    double min_sample, double max_sample)
-{
-    constexpr size_t kNumBuckets = Histogram::kNumBuckets;
-    uint64_t total = 0;
-    for (size_t i = 0; i < kNumBuckets; ++i)
-        total += snap[i];
-    if (total == 0)
-        return 0.0;
-
-    p = std::min(100.0, std::max(0.0, p));
-    // Rank of the sample we want (1-based, ceil) within the snapshot.
-    const auto target = static_cast<uint64_t>(
-        std::max(1.0, std::ceil(p / 100.0 * static_cast<double>(total))));
-
-    uint64_t cum = 0;
-    size_t bucket = kNumBuckets - 1;
-    for (size_t i = 0; i < kNumBuckets; ++i) {
-        cum += snap[i];
-        if (cum >= target) {
-            bucket = i;
-            break;
-        }
-    }
-
-    double rep;
-    if (bucket == 0) {
-        rep = Histogram::kLo;
-    } else if (bucket == kNumBuckets - 1) {
-        rep = Histogram::kHi;
-    } else {
-        const double lo_edge =
-            Histogram::kLo *
-            std::pow(10.0, static_cast<double>(bucket - 1) /
-                               Histogram::kBucketsPerDecade);
-        const double hi_edge =
-            Histogram::kLo *
-            std::pow(10.0, static_cast<double>(bucket) /
-                               Histogram::kBucketsPerDecade);
-        rep = std::sqrt(lo_edge * hi_edge);
-    }
-    // Clamp to the observed range so tiny sample counts do not report
-    // values outside what was actually recorded.  A concurrent
-    // recorder may have bumped a bucket before publishing min/max
-    // (still NaN); skip the clamp rather than poison the result.
-    if (std::isnan(min_sample) || std::isnan(max_sample))
-        return rep;
-    return std::min(max_sample, std::max(min_sample, rep));
-}
-
-} // namespace detail
 
 Histogram::Histogram()
 {
@@ -143,11 +75,13 @@ Histogram::bucketIndex(double v)
 void
 Histogram::record(double v)
 {
+    if (Registry::quiesced())
+        return;
     buckets_[bucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
-    detail::atomicAdd(sum_, v);
-    detail::atomicMin(min_, v);
-    detail::atomicMax(max_, v);
+    atomicAdd(sum_, v);
+    atomicExtreme(min_, v, [](double a, double b) { return a < b; });
+    atomicExtreme(max_, v, [](double a, double b) { return a > b; });
 }
 
 uint64_t
@@ -192,10 +126,52 @@ double
 Histogram::percentile(double p) const
 {
     std::array<uint64_t, kNumBuckets> snap;
-    for (size_t i = 0; i < kNumBuckets; ++i)
+    uint64_t total = 0;
+    for (size_t i = 0; i < kNumBuckets; ++i) {
         snap[i] = buckets_[i].load(std::memory_order_relaxed);
-    return detail::percentileFromBuckets(snap, p, minSample(),
-                                         maxSample());
+        total += snap[i];
+    }
+    if (total == 0)
+        return 0.0;
+
+    p = std::min(100.0, std::max(0.0, p));
+    // Rank of the sample we want (1-based, ceil) within the snapshot.
+    const auto target = static_cast<uint64_t>(
+        std::max(1.0, std::ceil(p / 100.0 * static_cast<double>(total))));
+
+    uint64_t cum = 0;
+    size_t bucket = kNumBuckets - 1;
+    for (size_t i = 0; i < kNumBuckets; ++i) {
+        cum += snap[i];
+        if (cum >= target) {
+            bucket = i;
+            break;
+        }
+    }
+
+    double rep;
+    if (bucket == 0) {
+        rep = kLo;
+    } else if (bucket == kNumBuckets - 1) {
+        rep = kHi;
+    } else {
+        const double lo_edge =
+            kLo * std::pow(10.0, static_cast<double>(bucket - 1) /
+                                     kBucketsPerDecade);
+        const double hi_edge =
+            kLo * std::pow(10.0, static_cast<double>(bucket) /
+                                     kBucketsPerDecade);
+        rep = std::sqrt(lo_edge * hi_edge);
+    }
+    // Clamp to the observed range so tiny sample counts do not report
+    // values outside what was actually recorded.  A concurrent
+    // recorder may have bumped a bucket before publishing min/max
+    // (still NaN); skip the clamp rather than poison the result.
+    const double lo = minSample();
+    const double hi = maxSample();
+    if (std::isnan(lo) || std::isnan(hi))
+        return rep;
+    return std::min(hi, std::max(lo, rep));
 }
 
 void
@@ -228,8 +204,6 @@ Counter &
 Registry::counter(const std::string &name, const std::string &desc)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    panic_if(sharded_counters_.count(name) != 0,
-             "metric '%s' is already a sharded counter", name.c_str());
     auto &entry = counters_[name];
     if (!entry.instrument) {
         entry.desc = desc;
@@ -254,9 +228,6 @@ Histogram &
 Registry::histogram(const std::string &name, const std::string &desc)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    panic_if(sharded_histograms_.count(name) != 0,
-             "metric '%s' is already a sharded histogram",
-             name.c_str());
     auto &entry = histograms_[name];
     if (!entry.instrument) {
         entry.desc = desc;
@@ -265,64 +236,12 @@ Registry::histogram(const std::string &name, const std::string &desc)
     return *entry.instrument;
 }
 
-ShardedCounter &
-Registry::shardedCounter(const std::string &name,
-                         const std::string &desc)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    panic_if(counters_.count(name) != 0,
-             "metric '%s' is already a plain counter", name.c_str());
-    auto &entry = sharded_counters_[name];
-    if (!entry.instrument) {
-        entry.desc = desc;
-        entry.instrument = std::make_unique<ShardedCounter>();
-    }
-    return *entry.instrument;
-}
-
-ShardedHistogram &
-Registry::shardedHistogram(const std::string &name,
-                           const std::string &desc)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    panic_if(histograms_.count(name) != 0,
-             "metric '%s' is already a plain histogram", name.c_str());
-    auto &entry = sharded_histograms_[name];
-    if (!entry.instrument) {
-        entry.desc = desc;
-        entry.instrument = std::make_unique<ShardedHistogram>();
-    }
-    return *entry.instrument;
-}
-
 bool
 Registry::empty() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return counters_.empty() && gauges_.empty() &&
-           histograms_.empty() && sharded_counters_.empty() &&
-           sharded_histograms_.empty();
+    return counters_.empty() && gauges_.empty() && histograms_.empty();
 }
-
-namespace {
-
-/** Histogram-like stats block shared by plain and sharded kinds. */
-template <typename H>
-void
-writeHistogramStats(JsonWriter &w, const H &h)
-{
-    w.beginObject();
-    w.key("count").value(h.count());
-    w.key("mean").value(h.mean());
-    w.key("min").value(h.minSample());
-    w.key("max").value(h.maxSample());
-    w.key("p50").value(h.percentile(50));
-    w.key("p90").value(h.percentile(90));
-    w.key("p99").value(h.percentile(99));
-    w.endObject();
-}
-
-} // namespace
 
 void
 Registry::writeJson(JsonWriter &w) const
@@ -330,14 +249,8 @@ Registry::writeJson(JsonWriter &w) const
     std::lock_guard<std::mutex> lock(mu_);
     w.beginObject();
 
-    // Sharded instruments snapshot as their merged totals under the
-    // same "counters"/"histograms" groups: consumers see one value
-    // space, and sharding stays an implementation detail of the hot
-    // path.  Cross-kind name collisions are rejected at registration.
     w.key("counters").beginObject();
     for (const auto &[name, entry] : counters_)
-        w.key(name).value(entry.instrument->value());
-    for (const auto &[name, entry] : sharded_counters_)
         w.key(name).value(entry.instrument->value());
     w.endObject();
 
@@ -348,30 +261,16 @@ Registry::writeJson(JsonWriter &w) const
 
     w.key("histograms").beginObject();
     for (const auto &[name, entry] : histograms_) {
-        w.key(name);
-        writeHistogramStats(w, *entry.instrument);
-    }
-    for (const auto &[name, entry] : sharded_histograms_) {
-        w.key(name);
-        writeHistogramStats(w, *entry.instrument);
-    }
-    w.endObject();
-
-    // Per-shard breakdowns of the sharded instruments (event counts
-    // per stripe), so balance across worker threads can be audited
-    // from a snapshot file (`gpuscale-stat balance`).
-    w.key("shards").beginObject();
-    for (const auto &[name, entry] : sharded_counters_) {
-        w.key(name).beginArray();
-        for (const uint64_t v : entry.instrument->shardValues())
-            w.value(v);
-        w.endArray();
-    }
-    for (const auto &[name, entry] : sharded_histograms_) {
-        w.key(name).beginArray();
-        for (const uint64_t v : entry.instrument->shardCounts())
-            w.value(v);
-        w.endArray();
+        const Histogram &h = *entry.instrument;
+        w.key(name).beginObject();
+        w.key("count").value(h.count());
+        w.key("mean").value(h.mean());
+        w.key("min").value(h.minSample());
+        w.key("max").value(h.maxSample());
+        w.key("p50").value(h.percentile(50));
+        w.key("p90").value(h.percentile(90));
+        w.key("p99").value(h.percentile(99));
+        w.endObject();
     }
     w.endObject();
 
@@ -408,11 +307,10 @@ expositionHeader(std::ostream &os, const std::string &name,
     os << "# TYPE " << name << ' ' << type << '\n';
 }
 
-/** Summary block (quantiles, _sum, _count) for either histogram. */
-template <typename H>
+/** Summary block (quantiles, _sum, _count) for one histogram. */
 void
 expositionSummary(std::ostream &os, const std::string &name,
-                  const std::string &desc, const H &h)
+                  const std::string &desc, const Histogram &h)
 {
     expositionHeader(os, name, desc, "summary");
     if (!h.empty()) {
@@ -440,11 +338,6 @@ Registry::writeExposition(std::ostream &os) const
         expositionHeader(os, ename, entry.desc, "counter");
         os << ename << ' ' << entry.instrument->value() << '\n';
     }
-    for (const auto &[name, entry] : sharded_counters_) {
-        const std::string ename = expositionName(name);
-        expositionHeader(os, ename, entry.desc, "counter");
-        os << ename << ' ' << entry.instrument->value() << '\n';
-    }
     for (const auto &[name, entry] : gauges_) {
         const std::string ename = expositionName(name);
         expositionHeader(os, ename, entry.desc, "gauge");
@@ -452,10 +345,6 @@ Registry::writeExposition(std::ostream &os) const
            << formatDoubleShortest(entry.instrument->value()) << '\n';
     }
     for (const auto &[name, entry] : histograms_) {
-        expositionSummary(os, expositionName(name), entry.desc,
-                          *entry.instrument);
-    }
-    for (const auto &[name, entry] : sharded_histograms_) {
         expositionSummary(os, expositionName(name), entry.desc,
                           *entry.instrument);
     }
@@ -471,16 +360,7 @@ Registry::snapshotTable() const
     t.addColumn("value", TextTable::Align::Right);
     t.addColumn("description");
 
-    // Sharded instruments list under the same kind labels as their
-    // plain siblings; the table shows merged totals (see writeJson).
     for (const auto &[name, entry] : counters_) {
-        t.beginRow();
-        t.cell(name);
-        t.cell("counter");
-        t.cell(static_cast<int64_t>(entry.instrument->value()));
-        t.cell(entry.desc);
-    }
-    for (const auto &[name, entry] : sharded_counters_) {
         t.beginRow();
         t.cell(name);
         t.cell("counter");
@@ -494,9 +374,8 @@ Registry::snapshotTable() const
         t.cell(entry.instrument->value());
         t.cell(entry.desc);
     }
-    const auto histogramRow = [&t](const std::string &name,
-                                   const auto &h,
-                                   const std::string &desc) {
+    for (const auto &[name, entry] : histograms_) {
+        const Histogram &h = *entry.instrument;
         t.beginRow();
         t.cell(name);
         t.cell("histogram");
@@ -509,12 +388,8 @@ Registry::snapshotTable() const
                                              3).c_str(),
                          formatDoubleGeneral(h.percentile(99),
                                              3).c_str()));
-        t.cell(desc);
-    };
-    for (const auto &[name, entry] : histograms_)
-        histogramRow(name, *entry.instrument, entry.desc);
-    for (const auto &[name, entry] : sharded_histograms_)
-        histogramRow(name, *entry.instrument, entry.desc);
+        t.cell(entry.desc);
+    }
     return t;
 }
 
@@ -527,10 +402,6 @@ Registry::resetAll()
     for (auto &[name, entry] : gauges_)
         entry.instrument->reset();
     for (auto &[name, entry] : histograms_)
-        entry.instrument->reset();
-    for (auto &[name, entry] : sharded_counters_)
-        entry.instrument->reset();
-    for (auto &[name, entry] : sharded_histograms_)
         entry.instrument->reset();
 }
 

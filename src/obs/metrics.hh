@@ -2,11 +2,10 @@
  * @file
  * Process-wide run-telemetry metrics registry.
  *
- * Distinct from base/stats (per-simulation, gem5-style, single-
- * threaded): obs metrics instrument the *toolkit itself* — how many
- * model estimates a sweep issued, how long each took, how balanced
- * the parallelFor workers were — and are safe to update from many
- * threads at once.
+ * obs metrics instrument the *toolkit itself* — how many model
+ * estimates a sweep issued, how long each took, how balanced the
+ * parallelFor workers were — and are safe to update from many threads
+ * at once.
  *
  * Three instrument kinds:
  *  - Counter:   monotonically increasing uint64 (relaxed atomic).
@@ -41,8 +40,6 @@ namespace gpuscale {
 namespace obs {
 
 class JsonWriter;
-class ShardedCounter;
-class ShardedHistogram;
 
 /** Monotonic event counter; inc() is wait-free. */
 class Counter
@@ -52,11 +49,8 @@ class Counter
     Counter(const Counter &) = delete;
     Counter &operator=(const Counter &) = delete;
 
-    void
-    inc(uint64_t n = 1)
-    {
-        value_.fetch_add(n, std::memory_order_relaxed);
-    }
+    /** Dropped while the registry is quiesced (defined below it). */
+    void inc(uint64_t n = 1);
 
     uint64_t
     value() const
@@ -124,7 +118,10 @@ class Histogram
     Histogram(const Histogram &) = delete;
     Histogram &operator=(const Histogram &) = delete;
 
-    /** Record one sample (thread-safe, non-blocking). */
+    /**
+     * Record one sample (thread-safe, non-blocking); dropped while the
+     * registry is quiesced.
+     */
     void record(double v);
 
     uint64_t count() const;
@@ -165,26 +162,6 @@ class Histogram
     std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
-namespace detail {
-
-/** Relaxed CAS accumulate for atomic doubles (sums across threads). */
-void atomicAdd(std::atomic<double> &slot, double delta);
-
-/** Relaxed CAS lower/raise of an atomic double extreme. */
-void atomicMin(std::atomic<double> &slot, double v);
-void atomicMax(std::atomic<double> &slot, double v);
-
-/**
- * Percentile reconstruction from a merged bucket snapshot, shared by
- * Histogram and ShardedHistogram; clamps to [min_sample, max_sample].
- * Returns 0 when the snapshot is empty.
- */
-double percentileFromBuckets(
-    const std::array<uint64_t, Histogram::kNumBuckets> &snap, double p,
-    double min_sample, double max_sample);
-
-} // namespace detail
-
 /**
  * The process-wide instrument registry.
  *
@@ -206,25 +183,14 @@ class Registry
     Histogram &histogram(const std::string &name,
                          const std::string &desc = "");
 
-    /**
-     * Sharded (striped) variants for instruments updated from many
-     * threads on hot paths (see sharded.hh).  A name owns one kind
-     * for the process lifetime: re-registering a plain instrument's
-     * name as sharded (or vice versa) is a panic, since snapshots
-     * would otherwise carry duplicate keys.
-     */
-    ShardedCounter &shardedCounter(const std::string &name,
-                                   const std::string &desc = "");
-    ShardedHistogram &shardedHistogram(const std::string &name,
-                                       const std::string &desc = "");
-
     bool empty() const;
 
     /**
-     * Process-wide telemetry quiesce switch: while set, sharded
-     * instruments drop inc()/record() after one relaxed load.  The
-     * telemetry bench measures its instrumentation-overhead gate
-     * against this baseline; production code never sets it.
+     * Process-wide telemetry quiesce switch: while set, counters and
+     * histograms drop inc()/record() after one relaxed load (gauges
+     * still record).  The telemetry bench measures its
+     * instrumentation-overhead gate against this baseline; production
+     * code never sets it.
      */
     static void
     setQuiesced(bool q)
@@ -282,13 +248,17 @@ class Registry
     std::map<std::string, Entry<Gauge>> gauges_;
     // guarded_by(mu_)
     std::map<std::string, Entry<Histogram>> histograms_;
-    // guarded_by(mu_)
-    std::map<std::string, Entry<ShardedCounter>> sharded_counters_;
-    // guarded_by(mu_)
-    std::map<std::string, Entry<ShardedHistogram>> sharded_histograms_;
 
     static inline std::atomic<bool> quiesced_{false};
 };
+
+inline void
+Counter::inc(uint64_t n)
+{
+    if (Registry::quiesced())
+        return;
+    value_.fetch_add(n, std::memory_order_relaxed);
+}
 
 } // namespace obs
 } // namespace gpuscale

@@ -7,9 +7,6 @@
  *                             as a table: per-tick estimate counts and
  *                             the cache-hit trajectory (cumulative hit
  *                             rate over time).
- *   balance <metrics.json>    per-shard balance of the sharded
- *                             instruments in a --metrics snapshot
- *                             (event share per stripe, max/mean skew).
  *   checkpoint <metrics.json> checkpoint overhead: journal record
  *                             counts and flush-latency distribution.
  *   trace <trace.json>        aggregate a Chrome trace-event file by
@@ -133,52 +130,6 @@ seriesCmd(const std::string &path)
         ++lines;
     }
     fatal_if(lines == 0, "%s: no JSONL lines", path.c_str());
-    std::fputs(t.render().c_str(), stdout);
-    return kExitOk;
-}
-
-int
-balanceCmd(const std::string &path)
-{
-    const obs::JsonValue doc = obs::parseJson(readFile(path));
-    const obs::JsonValue *shards = doc.find("shards");
-    fatal_if(shards == nullptr || !shards->isObject(),
-             "%s: no per-shard data (need a --metrics snapshot from "
-             "this version)",
-             path.c_str());
-
-    TextTable t;
-    t.addColumn("instrument");
-    t.addColumn("shards", TextTable::Align::Right);
-    t.addColumn("events", TextTable::Align::Right);
-    t.addColumn("busiest", TextTable::Align::Right);
-    t.addColumn("mean/shard", TextTable::Align::Right);
-    t.addColumn("imbalance", TextTable::Align::Right);
-
-    for (const auto &[name, arr] : shards->object) {
-        if (!arr.isArray() || arr.array.empty())
-            continue;
-        double total = 0, busiest = 0;
-        size_t active = 0;
-        for (const obs::JsonValue &v : arr.array) {
-            total += v.number;
-            busiest = std::max(busiest, v.number);
-            if (v.number > 0)
-                ++active;
-        }
-        // Imbalance is busiest over the mean of *active* stripes: a
-        // serial run on a one-core host is perfectly balanced at 1.0,
-        // not penalized for its idle stripes.
-        const double mean =
-            active > 0 ? total / static_cast<double>(active) : 0.0;
-        t.beginRow();
-        t.cell(name);
-        t.cell(static_cast<int64_t>(arr.array.size()));
-        t.cell(static_cast<int64_t>(total));
-        t.cell(static_cast<int64_t>(busiest));
-        t.cell(mean, 1);
-        t.cell(mean > 0 ? busiest / mean : 0.0);
-    }
     std::fputs(t.render().c_str(), stdout);
     return kExitOk;
 }
@@ -330,7 +281,6 @@ usage()
         "usage: gpuscale-stat <command> <file>\n"
         "  series <metrics.jsonl>     exporter time series + cache\n"
         "                             hit trajectory\n"
-        "  balance <metrics.json>     per-shard instrument balance\n"
         "  checkpoint <metrics.json>  journal overhead table\n"
         "  trace <trace.json>         span profile + per-thread "
         "share\n"
@@ -348,9 +298,8 @@ main(int argc, char **argv)
         return kExitBadArguments;
     }
     const std::string cmd = argv[1];
-    const bool known = cmd == "series" || cmd == "balance" ||
-                       cmd == "checkpoint" || cmd == "trace" ||
-                       cmd == "blackbox";
+    const bool known = cmd == "series" || cmd == "checkpoint" ||
+                       cmd == "trace" || cmd == "blackbox";
     if (!known) {
         std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
         usage();
@@ -367,8 +316,6 @@ main(int argc, char **argv)
     try {
         if (cmd == "series")
             return seriesCmd(path);
-        if (cmd == "balance")
-            return balanceCmd(path);
         if (cmd == "checkpoint")
             return checkpointCmd(path);
         if (cmd == "trace")

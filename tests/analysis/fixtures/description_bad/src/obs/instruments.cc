@@ -9,10 +9,6 @@ struct Registry {
                const std::string &desc = "");
     int &histogram(const std::string &name,
                    const std::string &desc = "");
-    int &shardedCounter(const std::string &name,
-                        const std::string &desc = "");
-    int &shardedHistogram(const std::string &name,
-                          const std::string &desc = "");
 };
 
 void
@@ -22,16 +18,14 @@ registerInstruments(const std::string &runtime_desc)
     Registry::instance().counter("bare.counter");
     // Flagged: a description that says nothing.
     Registry::instance().gauge("empty.gauge", "");
-    // Flagged: the sharded variants obey the same contract.
-    Registry::instance().shardedCounter("bare.sharded");
 
     // Fine: a real description.
     Registry::instance().histogram("good.hist",
                                    "seconds per journal flush");
     // Fine: adjacent-literal concatenation is one description.
-    Registry::instance().shardedHistogram("concat.hist",
-                                          "seconds per "
-                                          "model estimate");
+    Registry::instance().histogram("concat.hist",
+                                   "seconds per "
+                                   "model estimate");
     // Fine: a computed description is out of the rule's reach.
     Registry::instance().counter("computed.desc", runtime_desc);
     // gpuscale-lint: allow(description): legacy key pending rename

@@ -1,9 +1,9 @@
 /**
  * @file
  * Instrument-description rule tests: registrations through the
- * registry's counter/gauge/histogram methods (plain and sharded) must
- * carry a non-empty description literal; computed descriptions and
- * allow() suppressions are respected.
+ * registry's counter/gauge/histogram methods must carry a non-empty
+ * description literal; computed descriptions and allow() suppressions
+ * are respected.
  */
 
 #include <gtest/gtest.h>
@@ -20,17 +20,14 @@ TEST(RuleDescription, FlagsMissingAndEmptyDescriptions)
     const auto repo = loadFixture("description_bad");
     const auto report = runRule(*makeDescriptionRule(), repo);
 
-    // counter("bare.counter"), gauge("empty.gauge", ""), and
-    // shardedCounter("bare.sharded") — while the described, the
-    // concatenated, the computed, and the suppressed registrations
-    // stay silent.
-    EXPECT_EQ(findingCount(report, "description"), 3u)
+    // counter("bare.counter") and gauge("empty.gauge", "") — while
+    // the described, the concatenated, the computed, and the
+    // suppressed registrations stay silent.
+    EXPECT_EQ(findingCount(report, "description"), 2u)
         << report.render();
     EXPECT_TRUE(anyMessageContains(report, "bare.counter"))
         << report.render();
     EXPECT_TRUE(anyMessageContains(report, "empty.gauge"))
-        << report.render();
-    EXPECT_TRUE(anyMessageContains(report, "bare.sharded"))
         << report.render();
     EXPECT_FALSE(anyMessageContains(report, "good.hist"));
     EXPECT_FALSE(anyMessageContains(report, "concat.hist"));

@@ -38,7 +38,7 @@ TEST(RuleFpDeterminism, FlagsAllFourSeededHazards)
 
 TEST(RuleFpDeterminism, BlessedHelpersAndPublishedApisStaySilent)
 {
-    // stats.cc is a blessed helper file (accumulate is its job);
+    // math_util.cc is a blessed helper file (accumulate is its job);
     // occupancyTerm is declared in analytic_batch.hh so both TUs
     // share one definition; the tally uses an ordered std::map.
     const auto repo = loadFixture("fp_determinism_ok");

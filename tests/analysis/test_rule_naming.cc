@@ -18,14 +18,11 @@ TEST(RuleNaming, FlagsUppercaseKeysButNotConformingOnes)
     const auto repo = loadFixture("naming_bad");
     const auto report = runRule(*makeNamingRule(), repo);
 
-    // counter("Sweep.Estimates"), shardedCounter("Sharded.Bad"),
-    // GPUSCALE_TRACE_SCOPE("BadSpan"), and extra["Bad-Key"] — while
-    // "sweep.ok_name", "sweep.sharded.ok", the "sweep/" runtime
-    // prefix, and "noise_sigma" stay silent.
-    EXPECT_EQ(findingCount(report, "naming"), 4u) << report.render();
+    // counter("Sweep.Estimates"), GPUSCALE_TRACE_SCOPE("BadSpan"),
+    // and extra["Bad-Key"] — while "sweep.ok_name", the "sweep/"
+    // runtime prefix, and "noise_sigma" stay silent.
+    EXPECT_EQ(findingCount(report, "naming"), 3u) << report.render();
     EXPECT_TRUE(anyMessageContains(report, "Sweep.Estimates"))
-        << report.render();
-    EXPECT_TRUE(anyMessageContains(report, "Sharded.Bad"))
         << report.render();
     EXPECT_TRUE(anyMessageContains(report, "BadSpan"))
         << report.render();

@@ -40,7 +40,7 @@ sampleFindings()
     return {
         mkFinding("fp-determinism", "src/gpu/model.cc", 42,
                   "std::accumulate over doubles", Severity::Error,
-                  "use stats::kahanSum"),
+                  "use an explicitly-ordered loop"),
         mkFinding("naming", "src/base/util.hh", 7, "camelCase field",
                   Severity::Warning),
         // Repo-wide finding: no file, no line.
@@ -103,7 +103,7 @@ TEST(Sarif, ResultsCarryLocationLevelAndHint)
               "src/gpu/model.cc");
     EXPECT_EQ(loc.at("region").at("startLine").number, 42.0);
     EXPECT_EQ(first.at("properties").at("hint").str,
-              "use stats::kahanSum");
+              "use an explicitly-ordered loop");
 
     EXPECT_EQ(results.array[1].at("level").str, "warning");
 

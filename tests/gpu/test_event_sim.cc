@@ -8,9 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <sstream>
-
 #include "gpu/analytic_model.hh"
 #include "gpu/gpu_config.hh"
 #include "gpu/kernel_desc.hh"
@@ -23,6 +20,7 @@ namespace {
 
 using timing::EventModel;
 using timing::EventSimParams;
+using timing::EventSimStats;
 using timing::PipeResource;
 
 TEST(PipeResourceTest, FifoServiceSemantics)
@@ -160,24 +158,21 @@ TEST(EventModelTest, InstrumentedRunRecordsStats)
     const EventModel model;
     const KernelDesc k = workloads::streaming(
         "t/s/k", {.wgs = 128, .wi_per_wg = 256});
-    stats::StatGroup group("sim.gpu");
-    const KernelPerf perf = model.estimate(k, makeMaxConfig(), group);
+    EventSimStats stats;
+    const KernelPerf perf = model.estimate(k, makeMaxConfig(), stats);
 
     // Instrumentation must not change the result.
     const KernelPerf plain = model.estimate(k, makeMaxConfig());
     EXPECT_DOUBLE_EQ(perf.time_s, plain.time_s);
 
-    std::ostringstream os;
-    group.printAll(os);
-    const std::string text = os.str();
-    EXPECT_NE(text.find("sim.gpu.waves_simulated 512"),
-              std::string::npos);
-    EXPECT_NE(text.find("sim.gpu.workgroups_simulated 128"),
-              std::string::npos);
-    EXPECT_NE(text.find("sim.gpu.events"), std::string::npos);
-    EXPECT_NE(text.find("sim.gpu.dram_bytes"), std::string::npos);
-    EXPECT_NE(text.find("sim.gpu.dram_utilization"),
-              std::string::npos);
+    EXPECT_EQ(stats.waves_simulated, 512);
+    EXPECT_EQ(stats.workgroups_simulated, 128);
+    EXPECT_GT(stats.events, 0u);
+    EXPECT_DOUBLE_EQ(stats.extrapolation, 1.0);
+    EXPECT_GT(stats.makespan_us, 0.0);
+    EXPECT_GT(stats.dram_bytes, 0.0);
+    EXPECT_GT(stats.dram_utilization, 0.0);
+    EXPECT_LE(stats.dram_utilization, 1.0);
 }
 
 TEST(EventModelTest, StatsBytesMatchTrafficModel)
@@ -188,20 +183,12 @@ TEST(EventModelTest, StatsBytesMatchTrafficModel)
     const KernelDesc k = workloads::streaming(
         "t/s/k", {.wgs = 256, .wi_per_wg = 256});
     const GpuConfig cfg = makeMaxConfig();
-    stats::StatGroup group("sim");
-    const KernelPerf perf = model.estimate(k, cfg, group);
+    EventSimStats stats;
+    const KernelPerf perf = model.estimate(k, cfg, stats);
 
     const double expected_dram =
         k.totalBytesRequested() * perf.cache.dram_traffic_per_byte;
-    std::ostringstream os;
-    group.printAll(os);
-    // Extract the recorded value.
-    const std::string text = os.str();
-    const size_t pos = text.find("sim.dram_bytes ");
-    ASSERT_NE(pos, std::string::npos);
-    const double recorded =
-        std::atof(text.c_str() + pos + strlen("sim.dram_bytes "));
-    EXPECT_NEAR(recorded / expected_dram, 1.0, 0.10);
+    EXPECT_NEAR(stats.dram_bytes / expected_dram, 1.0, 0.10);
 }
 
 } // namespace

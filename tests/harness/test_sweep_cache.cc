@@ -20,7 +20,6 @@
 #include "harness/sweep.hh"
 #include "harness/sweep_cache.hh"
 #include "obs/metrics.hh"
-#include "obs/sharded.hh"
 #include "workloads/archetypes.hh"
 #include "workloads/registry.hh"
 
@@ -31,13 +30,6 @@ uint64_t
 counterValue(const char *name)
 {
     return obs::Registry::instance().counter(name).value();
-}
-
-/** The sweep hot-path counters are sharded (obs/sharded.hh). */
-uint64_t
-shardedCounterValue(const char *name)
-{
-    return obs::Registry::instance().shardedCounter(name).value();
 }
 
 class SweepCacheTest : public ::testing::Test
@@ -142,17 +134,17 @@ TEST_F(SweepCacheTest, RepeatSweepHitsAndReturnsIdenticalRuntimes)
 
     const uint64_t hits0 = counterValue("sweep.cache.hits");
     const uint64_t misses0 = counterValue("sweep.cache.misses");
-    const uint64_t estimates0 = shardedCounterValue("sweep.estimates.count");
+    const uint64_t estimates0 = counterValue("sweep.estimates.count");
 
     const auto first = harness::sweepKernel(model, *kernel, space);
     EXPECT_EQ(counterValue("sweep.cache.misses"), misses0 + 1);
-    EXPECT_EQ(shardedCounterValue("sweep.estimates.count"),
+    EXPECT_EQ(counterValue("sweep.estimates.count"),
               estimates0 + space.size());
 
     const auto second = harness::sweepKernel(model, *kernel, space);
     EXPECT_EQ(counterValue("sweep.cache.hits"), hits0 + 1);
     // A hit recomputes nothing...
-    EXPECT_EQ(shardedCounterValue("sweep.estimates.count"),
+    EXPECT_EQ(counterValue("sweep.estimates.count"),
               estimates0 + space.size());
     // ...and returns the exact same doubles.
     ASSERT_EQ(first.runtimes().size(), second.runtimes().size());

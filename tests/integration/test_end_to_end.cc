@@ -17,7 +17,6 @@
 #include "harness/experiment.hh"
 #include "obs/json.hh"
 #include "obs/metrics.hh"
-#include "obs/sharded.hh"
 #include "obs/run_manifest.hh"
 #include "obs/trace.hh"
 #include "scaling/cluster.hh"
@@ -298,12 +297,12 @@ TEST(EndToEndTest, SweepEmitsRequiredTelemetry)
 
     // The registry carries the acceptance metrics with live values.
     auto &reg = obs::Registry::instance();
-    EXPECT_GE(reg.shardedCounter("sweep.estimates.count").value(),
+    EXPECT_GE(reg.counter("sweep.estimates.count").value(),
               kernels.size() * space.size());
-    EXPECT_GE(reg.shardedHistogram("sweep.estimate.latency")
+    EXPECT_GE(reg.histogram("sweep.estimate.latency")
                   .percentile(50),
               0.0);
-    EXPECT_GT(reg.shardedHistogram("sweep.estimate.latency").count(),
+    EXPECT_GT(reg.histogram("sweep.estimate.latency").count(),
               0u);
     EXPECT_GE(reg.gauge("parallel.worker.imbalance").value(), 1.0);
 

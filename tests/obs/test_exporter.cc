@@ -19,7 +19,6 @@
 
 #include "obs/json.hh"
 #include "obs/metrics.hh"
-#include "obs/sharded.hh"
 #include "support/temp_dir.hh"
 
 namespace gpuscale {
@@ -50,8 +49,8 @@ TEST(ExporterTest, JsonlLinesRoundTripWithDeltaSemantics)
     Gauge &g = reg.gauge("test.exporter.gauge", "test gauge");
     Histogram &h =
         reg.histogram("test.exporter.hist", "test histogram");
-    ShardedCounter &sc = reg.shardedCounter(
-        "test.exporter.sharded.counter", "test sharded counter");
+    Counter &sc = reg.counter("test.exporter.other.counter",
+                              "second test counter");
     c.reset();
     g.reset();
     h.reset();
@@ -90,10 +89,10 @@ TEST(ExporterTest, JsonlLinesRoundTripWithDeltaSemantics)
                          static_cast<double>(i + 1));
     }
 
-    // Counters export deltas: 7 then 5 then 0; the sharded counter
+    // Counters export deltas: 7 then 5 then 0; a second counter
     // rides in the same group (3, 4, 0).
     const char *ctr = "test.exporter.counter";
-    const char *sctr = "test.exporter.sharded.counter";
+    const char *sctr = "test.exporter.other.counter";
     EXPECT_DOUBLE_EQ(lines[0].at("counters").at(ctr).number, 7.0);
     EXPECT_DOUBLE_EQ(lines[1].at("counters").at(ctr).number, 5.0);
     EXPECT_DOUBLE_EQ(lines[2].at("counters").at(ctr).number, 0.0);

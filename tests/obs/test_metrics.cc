@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <sstream>
 #include <thread>
@@ -224,6 +225,8 @@ TEST(RegistryTest, SnapshotJsonParsesAndCarriesValues)
 
     const JsonValue v = parseJson(reg.snapshotJson());
     ASSERT_TRUE(v.isObject());
+    // Exactly the three instrument groups; nothing else.
+    ASSERT_EQ(v.object.size(), 3u);
     EXPECT_GE(v.at("counters").at("test.snapshot.counter").number, 7.0);
     EXPECT_DOUBLE_EQ(v.at("gauges").at("test.snapshot.gauge").number,
                      1.5);
@@ -293,6 +296,71 @@ TEST(RegistryTest, SnapshotTableHasRowPerInstrument)
     EXPECT_GE(t.numRows(), 3u);
     // Renders without panicking and mentions a known metric.
     EXPECT_NE(t.render().find("test.table.counter"), std::string::npos);
+}
+
+TEST(QuiesceTest, QuiescedInstrumentsDropUpdates)
+{
+    Counter &c = Registry::instance().counter(
+        "test.quiesce.counter", "test counter");
+    Histogram &h = Registry::instance().histogram(
+        "test.quiesce.hist", "test histogram");
+    c.reset();
+    h.reset();
+
+    Registry::setQuiesced(true);
+    EXPECT_TRUE(Registry::quiesced());
+    c.inc(5);
+    h.record(1e-3);
+    Registry::setQuiesced(false);
+    EXPECT_EQ(c.value(), 0u);
+    EXPECT_TRUE(h.empty());
+    EXPECT_TRUE(std::isnan(h.minSample()));
+
+    c.inc(5);
+    h.record(1e-3);
+    EXPECT_EQ(c.value(), 5u);
+    EXPECT_EQ(h.count(), 1u);
+}
+
+// The TSan target for the reset race: resetAll() walks every
+// registered instrument while writer threads keep hammering
+// inc()/record().  All stores are relaxed atomics, so there is no
+// happens-before edge to assert on — the test's contract is simply
+// "no data race and no torn snapshot" under the sanitizer, plus the
+// post-join invariant that a final reset leaves everything empty.
+TEST(RegistryTest, ResetAllRacesConcurrentRecordsCleanly)
+{
+    auto &reg = Registry::instance();
+    Counter &c = reg.counter("test.reset_race.counter", "test counter");
+    Histogram &h =
+        reg.histogram("test.reset_race.hist", "test histogram");
+
+    std::atomic<bool> stop{false};
+    constexpr int kWriters = 4;
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kWriters; ++t) {
+        writers.emplace_back([&]() {
+            while (!stop.load(std::memory_order_relaxed)) {
+                c.inc();
+                h.record(1e-6);
+            }
+        });
+    }
+    for (int i = 0; i < 200; ++i) {
+        reg.resetAll();
+        // A snapshot taken mid-race must stay internally sane: it
+        // never reports a value no writer produced.
+        const double max = h.maxSample();
+        EXPECT_TRUE(std::isnan(max) || max == 1e-6);
+    }
+    stop.store(true, std::memory_order_relaxed);
+    for (auto &t : writers)
+        t.join();
+
+    reg.resetAll();
+    EXPECT_EQ(c.value(), 0u);
+    EXPECT_TRUE(h.empty());
+    EXPECT_TRUE(std::isnan(h.minSample()));
 }
 
 } // namespace
