@@ -19,6 +19,12 @@
  * vs recording and emits BENCH_telemetry.json; the recording overhead
  * is the instrumentation perf gate (<= 2%).
  *
+ * Both overhead gates are paired, not min-of-N: each pair times the
+ * baseline and the treated run back to back, alternating which goes
+ * first, and the gate reads the upper end of a seeded 95% bootstrap
+ * interval on the median treated/baseline ratio.  Drift between the
+ * two arms' minima (one lucky run) cannot pass or fail the gate.
+ *
  * Also sweeps the sparse census over a ladder of sample budgets for
  * both samplers and emits BENCH_sparse.json: classification-agreement
  * vs budget curves against the dense census, plus the
@@ -69,6 +75,7 @@
 #include "harness/sweep_cache.hh"
 #include "obs/json.hh"
 #include "obs/metrics.hh"
+#include "perfbench/stats.hh"
 #include "service/client.hh"
 #include "service/server.hh"
 #include "workloads/registry.hh"
@@ -89,6 +96,105 @@ struct RunnerOptions {
 };
 
 using bench::writeTiming;
+
+/**
+ * Pairs an overhead gate runs.  The bootstrap interval on a median of
+ * a handful of ratios is mostly the extreme ratios, so --runs only
+ * raises this floor; at census scale (milliseconds) 41 pairs cost
+ * well under a second per arm.
+ */
+constexpr int kMinPairs = 41;
+
+/** Bootstrap seed for the overhead intervals: reruns report alike. */
+constexpr uint64_t kOverheadSeed = 0x9a1edf5eedull;
+
+/** Wall times of interleaved paired runs, one entry per pair. */
+struct PairedTimes {
+    std::vector<double> base_s;
+    std::vector<double> treated_s;
+};
+
+/**
+ * Time `base` and `treated` back to back `pairs` times after `warmup`
+ * untimed pairs.  Even pairs run the baseline first, odd pairs the
+ * treated arm, so a slow drift (frequency, page cache, a noisy
+ * neighbour) lands on both arms alike instead of on whichever always
+ * ran second.
+ */
+template <typename Base, typename Treated>
+PairedTimes
+pairedRuns(int warmup, int pairs, Base &&base, Treated &&treated)
+{
+    for (int i = 0; i < warmup; ++i) {
+        base();
+        treated();
+    }
+    const auto timed = [](auto &fn) {
+        const auto t0 = std::chrono::steady_clock::now();
+        fn();
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0)
+            .count();
+    };
+    PairedTimes t;
+    for (int i = 0; i < pairs; ++i) {
+        if (i % 2 == 0) {
+            t.base_s.push_back(timed(base));
+            t.treated_s.push_back(timed(treated));
+        } else {
+            t.treated_s.push_back(timed(treated));
+            t.base_s.push_back(timed(base));
+        }
+    }
+    return t;
+}
+
+/** min/mean/max of one arm, for the archived timing objects. */
+bench::TimingStats
+armStats(const std::vector<double> &times)
+{
+    bench::TimingStats stats;
+    stats.runs = static_cast<int>(times.size());
+    stats.min_s = *std::min_element(times.begin(), times.end());
+    stats.max_s = *std::max_element(times.begin(), times.end());
+    double total = 0.0;
+    for (const double t : times)
+        total += t;
+    stats.mean_s = total / static_cast<double>(times.size());
+    return stats;
+}
+
+/**
+ * Print and emit one paired overhead gate: both arms' timings, the
+ * median paired ratio with its 95% interval, and `overhead_pct`, the
+ * interval's upper end as a percentage (what CI gates on).
+ */
+void
+writeOverhead(obs::JsonWriter &w, const char *base_name,
+              const char *treated_name, const char *label,
+              const PairedTimes &t, double estimates)
+{
+    const perfbench::Interval ratio =
+        perfbench::pairedRatio(t.treated_s, t.base_s, kOverheadSeed);
+    const double overhead_pct = (ratio.hi - 1.0) * 100.0;
+    std::printf("%-24s median ratio %.4f, 95%% CI [%.4f, %.4f] over "
+                "%zu pairs (%s overhead gate reads %+.2f%%)\n",
+                (std::string(treated_name) + "/" + base_name + ":")
+                    .c_str(),
+                ratio.estimate, ratio.lo, ratio.hi, t.base_s.size(),
+                label, overhead_pct);
+    w.key("estimator").value("paired");
+    w.key("pairs").value(static_cast<uint64_t>(t.base_s.size()));
+    w.key(base_name);
+    writeTiming(w, armStats(t.base_s), estimates);
+    w.key(treated_name);
+    writeTiming(w, armStats(t.treated_s), estimates);
+    w.key("median_ratio").value(ratio.estimate);
+    w.key("ratio_ci_lo").value(ratio.lo);
+    w.key("ratio_ci_hi").value(ratio.hi);
+    w.key("median_overhead_pct").value((ratio.estimate - 1.0) * 100.0);
+    w.key("overhead_pct").value(overhead_pct);
+}
 
 int
 run(const RunnerOptions &opts)
@@ -232,19 +338,11 @@ run(const RunnerOptions &opts)
     //
     // 4. Resilience gate: the full census (sweep + classification —
     //    what `gpuscale census` runs and what a user checkpoints)
-    //    with and without the crash-safe journal.  The journal's
-    //    write overhead against its own unjournaled baseline must
-    //    stay <= 5%.
+    //    with and without the crash-safe journal, in interleaved
+    //    pairs.  The upper end of the journal's paired overhead
+    //    interval must stay <= 5%.
     //
-    const bench::TimingStats census_plain =
-        bench::minOfN(opts.warmup, opts.runs, [&] {
-            harness::SweepCache::instance().clear();
-            const auto census = harness::runCensus(
-                model, space, scaling::TaxonomyParams{});
-            fatal_if(census.classifications.size() != kernels.size(),
-                     "census classified %zu of %zu kernels",
-                     census.classifications.size(), kernels.size());
-        });
+    const int pairs = std::max(opts.runs, kMinPairs);
     const std::string journal_dir = "bench-checkpoint-journal";
     std::filesystem::remove_all(journal_dir);
     const uint64_t records0 =
@@ -254,14 +352,23 @@ run(const RunnerOptions &opts)
     // once-per-census, the gate measures steady-state record() write
     // overhead.
     std::vector<std::unique_ptr<harness::CensusJournal>> journals;
-    for (int i = 0; i < opts.warmup + opts.runs; ++i) {
+    for (int i = 0; i < opts.warmup + pairs; ++i) {
         journals.push_back(std::make_unique<harness::CensusJournal>(
             journal_dir + "/" + std::to_string(i),
             model.fingerprint(), space.fingerprint()));
     }
     size_t ck_run = 0;
-    const bench::TimingStats checkpointed =
-        bench::minOfN(opts.warmup, opts.runs, [&] {
+    const PairedTimes journaled = pairedRuns(
+        opts.warmup, pairs,
+        [&] {
+            harness::SweepCache::instance().clear();
+            const auto census = harness::runCensus(
+                model, space, scaling::TaxonomyParams{});
+            fatal_if(census.classifications.size() != kernels.size(),
+                     "census classified %zu of %zu kernels",
+                     census.classifications.size(), kernels.size());
+        },
+        [&] {
             harness::SweepCache::instance().clear();
             const auto census = harness::runCensus(
                 model, space, scaling::TaxonomyParams{}, nullptr,
@@ -275,15 +382,6 @@ run(const RunnerOptions &opts)
     std::filesystem::remove_all(journal_dir);
     const uint64_t journal_records =
         registry.counter("checkpoint.records").value() - records0;
-    const double overhead_pct =
-        census_plain.min_s > 0
-            ? (checkpointed.min_s / census_plain.min_s - 1.0) * 100.0
-            : 0.0;
-    std::printf("census (no journal):     %.4f s min-of-%d\n",
-                census_plain.min_s, census_plain.runs);
-    std::printf("census (journaled):      %.4f s min-of-%d "
-                "(journal overhead %+.2f%%)\n",
-                checkpointed.min_s, checkpointed.runs, overhead_pct);
 
     std::ofstream os(opts.output);
     fatal_if(!os, "cannot write %s", opts.output.c_str());
@@ -344,10 +442,8 @@ run(const RunnerOptions &opts)
     rw.key("benchmark").value("resilience");
     rw.key("grid").value(opts.test_grid ? "test" : "paper");
     rw.key("threads").value(static_cast<uint64_t>(threads));
-    rw.key("checkpointed");
-    writeTiming(rw, checkpointed, estimates);
-    rw.key("baseline_min_s").value(census_plain.min_s);
-    rw.key("overhead_pct").value(overhead_pct);
+    writeOverhead(rw, "baseline", "checkpointed", "journal", journaled,
+                  estimates);
     rw.key("journal_records_per_run")
         .value(static_cast<uint64_t>(kernels.size()));
     rw.key("journal_records_total").value(journal_records);
@@ -359,39 +455,24 @@ run(const RunnerOptions &opts)
     //
     // 5. Telemetry gate: the same hot sweep with the counters and
     //    histograms quiesced (inc()/record() return after one
-    //    relaxed load — the zero-cost baseline) vs fully recording.
-    //    The recording overhead must stay <= 2%.
+    //    relaxed load — the zero-cost baseline) vs fully recording,
+    //    in interleaved pairs.  The upper end of the recording
+    //    overhead's paired interval must stay <= 2%.
     //
-    obs::Registry::setQuiesced(true);
-    const bench::TimingStats quiesced =
-        bench::minOfN(opts.warmup, opts.runs, [&] {
-            harness::SweepCache::instance().clear();
-            const auto surfaces =
-                harness::sweepKernels(model, kernels, space);
-            fatal_if(surfaces.size() != kernels.size(),
-                     "quiesced census produced %zu surfaces",
-                     surfaces.size());
-        });
-    obs::Registry::setQuiesced(false);
-    const bench::TimingStats instrumented =
-        bench::minOfN(opts.warmup, opts.runs, [&] {
-            harness::SweepCache::instance().clear();
-            const auto surfaces =
-                harness::sweepKernels(model, kernels, space);
-            fatal_if(surfaces.size() != kernels.size(),
-                     "instrumented census produced %zu surfaces",
-                     surfaces.size());
-        });
-    const double telemetry_overhead_pct =
-        quiesced.min_s > 0
-            ? (instrumented.min_s / quiesced.min_s - 1.0) * 100.0
-            : 0.0;
-    std::printf("census (quiesced):       %.4f s min-of-%d\n",
-                quiesced.min_s, quiesced.runs);
-    std::printf("census (instrumented):   %.4f s min-of-%d "
-                "(telemetry overhead %+.2f%%)\n",
-                instrumented.min_s, instrumented.runs,
-                telemetry_overhead_pct);
+    const auto sweep = [&](bool quiesce) {
+        obs::Registry::setQuiesced(quiesce);
+        harness::SweepCache::instance().clear();
+        const auto surfaces =
+            harness::sweepKernels(model, kernels, space);
+        obs::Registry::setQuiesced(false);
+        fatal_if(surfaces.size() != kernels.size(),
+                 "%s census produced %zu surfaces",
+                 quiesce ? "quiesced" : "instrumented",
+                 surfaces.size());
+    };
+    const PairedTimes recording =
+        pairedRuns(opts.warmup, pairs, [&] { sweep(true); },
+                   [&] { sweep(false); });
 
     std::ofstream tos(opts.telemetry_output);
     fatal_if(!tos, "cannot write %s", opts.telemetry_output.c_str());
@@ -401,11 +482,8 @@ run(const RunnerOptions &opts)
     tw.key("benchmark").value("telemetry");
     tw.key("grid").value(opts.test_grid ? "test" : "paper");
     tw.key("threads").value(static_cast<uint64_t>(threads));
-    tw.key("quiesced");
-    writeTiming(tw, quiesced, estimates);
-    tw.key("instrumented");
-    writeTiming(tw, instrumented, estimates);
-    tw.key("overhead_pct").value(telemetry_overhead_pct);
+    writeOverhead(tw, "quiesced", "instrumented", "telemetry",
+                  recording, estimates);
     tw.endObject();
     tos << '\n';
     fatal_if(!tw.complete(), "telemetry BENCH JSON incomplete");

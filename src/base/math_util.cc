@@ -114,15 +114,23 @@ percentile(std::span<const double> v, double p)
 {
     panic_if(v.empty(), "percentile of empty span");
     panic_if(p < 0 || p > 100, "percentile %g out of [0,100]", p);
-    std::vector<double> sorted(v.begin(), v.end());
-    std::sort(sorted.begin(), sorted.end());
-    if (sorted.size() == 1)
-        return sorted[0];
-    const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+    if (v.size() == 1)
+        return v[0];
+    const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
     const size_t lo = static_cast<size_t>(std::floor(rank));
-    const size_t hi = std::min(lo + 1, sorted.size() - 1);
+    const size_t hi = std::min(lo + 1, v.size() - 1);
     const double frac = rank - static_cast<double>(lo);
-    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+    // Selection instead of a full sort: nth_element puts the lo-th
+    // order statistic in place with everything after it no smaller,
+    // so the (lo+1)-th is the minimum of that tail.  Both are the
+    // values a sort would have put there, so the result is bitwise
+    // the sorted interpolation.
+    std::vector<double> work(v.begin(), v.end());
+    const auto lo_it = work.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(work.begin(), lo_it, work.end());
+    const double a = *lo_it;
+    const double b = hi == lo ? a : *std::min_element(lo_it + 1, work.end());
+    return a * (1.0 - frac) + b * frac;
 }
 
 double

@@ -47,8 +47,10 @@ double stddev(std::span<const double> v);
 double geomean(std::span<const double> v);
 
 /**
- * Linear-interpolated percentile, p in [0, 100].  The span is copied
- * and sorted internally.
+ * Linear-interpolated percentile, p in [0, 100].  The two bracketing
+ * order statistics are found by selection (nth_element plus one
+ * min scan) on a private copy, O(n) rather than a full sort; the
+ * result is bitwise what sorting and interpolating would give.
  */
 double percentile(std::span<const double> v, double p);
 

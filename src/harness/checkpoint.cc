@@ -325,7 +325,7 @@ CensusJournal::record(const std::string &kernel,
     meta += chk_hex;
     const std::string head = recordLine(meta);
 
-    std::lock_guard<std::mutex> lock(append_mutex_);
+    std::unique_lock<std::mutex> lock(append_mutex_);
     if (appended_.count(kernel) != 0)
         return;
     if (faultPoint("checkpoint.append")) {
@@ -343,35 +343,65 @@ CensusJournal::record(const std::string &kernel,
     pending_ += body;
     pending_ += '\n';
     CheckpointMetrics::get().records.inc();
-    if (pending_.size() >= kFlushBytes)
-        flushLocked();
+    if (pending_.size() < kFlushBytes)
+        return;
+    // Hand the full buffer to the writer and drop append_mutex_ before
+    // write(2), so the other shards keep appending meanwhile.  The
+    // writer hands back an empty buffer that keeps its capacity, and
+    // it waits in spare_: steady state cycles the same few buffers
+    // instead of growing a fresh one from empty per flush, whose page
+    // faults would cost more than the write itself.
+    std::string full;
+    full.swap(pending_);
+    pending_.swap(spare_);
+    lock.unlock();
+    {
+        std::lock_guard<std::mutex> write_lock(write_mutex_);
+        writeLocked(full);
+    }
+    lock.lock();
+    if (spare_.capacity() < full.capacity())
+        spare_.swap(full);
 }
 
 void
-CensusJournal::flushLocked()
+CensusJournal::writeLocked(std::string &buf)
 {
     const auto t0 = std::chrono::steady_clock::now();
+    // Stage the bytes behind any a faulted flush kept back, so this
+    // flush failing (or throwing) keeps them for the next one.
+    // Records are self-framing and keyed by name: landing later, and
+    // out of order, is harmless.
+    if (unwritten_.empty()) {
+        unwritten_.swap(buf);
+    } else {
+        unwritten_ += buf;
+        buf.clear();
+    }
     if (faultPoint("checkpoint.flush")) {
         warn("checkpoint: flush of %zu byte(s) failed; those "
              "records will re-run on resume",
-             pending_.size());
+             unwritten_.size());
         obs::noteDegradation("checkpoint.flush");
         return;
     }
     size_t off = 0;
-    while (off < pending_.size()) {
-        const ssize_t n = ::write(fd_, pending_.data() + off,
-                                  pending_.size() - off);
+    while (off < unwritten_.size()) {
+        const ssize_t n = ::write(fd_, unwritten_.data() + off,
+                                  unwritten_.size() - off);
         if (n <= 0) {
             warn("checkpoint: flush of %zu byte(s) failed; those "
                  "records will re-run on resume",
-                 pending_.size() - off);
+                 unwritten_.size() - off);
             obs::noteDegradation("checkpoint.flush");
             break;
         }
         off += static_cast<size_t>(n);
     }
-    pending_.clear();
+    // Hand the emptied storage back through `buf`, so the caller can
+    // reuse its capacity and no third buffer stays resident here.
+    unwritten_.clear();
+    unwritten_.swap(buf);
     CheckpointMetrics::get().flush_latency.record(
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - t0)
@@ -379,11 +409,17 @@ CensusJournal::flushLocked()
 }
 
 void
+CensusJournal::flushLocked()
+{
+    writeLocked(pending_);
+}
+
+void
 CensusJournal::flush()
 {
     if (fd_ < 0)
         return;
-    std::lock_guard<std::mutex> lock(append_mutex_);
+    std::scoped_lock lock(append_mutex_, write_mutex_);
     flushLocked();
 }
 
@@ -392,7 +428,7 @@ CensusJournal::sync()
 {
     if (fd_ < 0)
         return;
-    std::lock_guard<std::mutex> lock(append_mutex_);
+    std::scoped_lock lock(append_mutex_, write_mutex_);
     flushLocked();
     ::fsync(fd_);
 }

@@ -52,10 +52,12 @@
  *
  * Appends group-commit: whole records accumulate in a buffer that is
  * flushed to the fd at kFlushBytes boundaries (and on sync()/close),
- * so flushes always land on record boundaries.  A kill between
- * flushes loses at most the buffered tail — those kernels simply
- * re-run on resume — in exchange for an order of magnitude fewer
- * write syscalls on the census hot path.
+ * so flushes always land on record boundaries.  The appender that
+ * fills the buffer takes it and writes it outside the append lock,
+ * so other workers keep appending while it sits in write(2).  A kill
+ * between flushes loses at most the buffered tail — those kernels
+ * simply re-run on resume — in exchange for an order of magnitude
+ * fewer write syscalls on the census hot path.
  */
 
 #ifndef GPUSCALE_HARNESS_CHECKPOINT_HH
@@ -138,7 +140,14 @@ class CensusJournal
   private:
     void load(const std::string &header);
     bool writeHeader(const std::string &header);
+    /** Drain pending_ to the fd; needs both mutexes (or the dtor). */
     void flushLocked();
+    /**
+     * Write any bytes an earlier faulted flush kept back, then `buf`,
+     * to the fd.  `buf` comes back empty with its capacity kept; the
+     * caller holds write_mutex_.
+     */
+    void writeLocked(std::string &buf);
 
     std::string path_;
     std::unordered_map<std::string, std::vector<double>> loaded_;
@@ -147,7 +156,9 @@ class CensusJournal
     // Serializes appends from sweepKernels() workers so records
     // never interleave mid-line; the buffer and the appended-name set
     // are tied to it by guarded_by (enforced by the lock-discipline
-    // rule).
+    // rule).  A full buffer is handed to the writer and written under
+    // write_mutex_ alone, so appends go on during write(2); flush()
+    // and sync() take both.
     std::mutex append_mutex_;
     // guarded_by(append_mutex_)
     std::string pending_;
@@ -155,6 +166,16 @@ class CensusJournal
     // caller's census, and a second copy would double its footprint.
     // guarded_by(append_mutex_)
     std::unordered_set<std::string> appended_;
+    // An emptied buffer kept for the next handoff, capacity intact.
+    // guarded_by(append_mutex_)
+    std::string spare_;
+    // Serializes write(2) calls so two handed-off buffers never
+    // interleave in the file.
+    std::mutex write_mutex_;
+    // Bytes handed to the writer and not yet written: empty between
+    // flushes unless a faulted flush kept them for the next one.
+    // guarded_by(write_mutex_)
+    std::string unwritten_;
 };
 
 } // namespace harness

@@ -10,6 +10,7 @@
 
 #include "base/logging.hh"
 #include "obs/trace.hh"
+#include "parallel.hh"
 #include "workloads/registry.hh"
 
 namespace gpuscale {
@@ -34,9 +35,14 @@ runCensus(const gpu::PerfModel &model,
     census.surfaces = sweepKernels(model, kernels, census.space,
                                    progress, journal, cancel);
     {
+        // Each surface classifies independently, so the pool fills
+        // pre-sized slots; the result is the classifyAll() vector.
         GPUSCALE_TRACE_SCOPE("census.classify");
-        census.classifications =
-            scaling::classifyAll(census.surfaces, params);
+        census.classifications.resize(census.surfaces.size());
+        parallelFor(census.surfaces.size(), [&](size_t k) {
+            census.classifications[k] =
+                scaling::classifySurface(census.surfaces[k], params);
+        }, 0, cancel);
     }
     return census;
 }

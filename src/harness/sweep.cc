@@ -127,12 +127,6 @@ sweepKernels(const gpu::PerfModel &model,
 
     SweepMetrics &metrics = SweepMetrics::get();
 
-    // Cache keys are computed up front on the calling thread; only
-    // the model evaluations are worth farming out.
-    std::vector<std::string> keys(kernels.size());
-    for (size_t k = 0; k < kernels.size(); ++k)
-        keys[k] = SweepCache::keyFor(model, *kernels[k], grid);
-
     //
     // Shard kernels into contiguous slices, several per worker so a
     // slow kernel (or a run of cache hits) cannot stall the tail.
@@ -161,7 +155,12 @@ sweepKernels(const gpu::PerfModel &model,
                     progress->tick();
                 continue;
             }
-            runtimes[k] = sweepOne(model, *kernels[k], grid, keys[k]);
+            // The cache key folds the whole descriptor (a few
+            // microseconds), so it is built in the shard, and only
+            // for kernels the journal did not replay.
+            runtimes[k] = sweepOne(
+                model, *kernels[k], grid,
+                SweepCache::keyFor(model, *kernels[k], grid));
             if (journal != nullptr)
                 journal->record(kernels[k]->name, runtimes[k]);
             if (progress != nullptr)

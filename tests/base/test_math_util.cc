@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "base/random.hh"
@@ -94,9 +97,49 @@ TEST(PercentileTest, Interpolates)
     EXPECT_NEAR(percentile(v, 0), 10.0, 1e-12);
     EXPECT_NEAR(percentile(v, 100), 40.0, 1e-12);
     EXPECT_NEAR(percentile(v, 50), 25.0, 1e-12);
-    // Unsorted input is sorted internally.
+    // Input order does not matter: selection finds the same ranks.
     const std::vector<double> u{40, 10, 30, 20};
     EXPECT_NEAR(percentile(u, 50), 25.0, 1e-12);
+}
+
+/** The sort-then-interpolate definition percentile() must match. */
+double
+sortedPercentile(std::vector<double> v, double p)
+{
+    std::sort(v.begin(), v.end());
+    if (v.size() == 1)
+        return v[0];
+    const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
+    const size_t lo = static_cast<size_t>(std::floor(rank));
+    const size_t hi = std::min(lo + 1, v.size() - 1);
+    const double frac = rank - static_cast<double>(lo);
+    return v[lo] * (1.0 - frac) + v[hi] * frac;
+}
+
+TEST(PercentileTest, SelectionIsBitwiseTheSortedDefinition)
+{
+    const std::vector<double> ps{0, 2, 17.3, 50, 90, 98, 100};
+    Rng rng(20150101);
+    for (const size_t n : {1, 2, 3, 17, 891, 1000}) {
+        std::vector<double> spread(n), dupes(n), ascending(n);
+        for (size_t i = 0; i < n; ++i) {
+            spread[i] = rng.logUniform(1e-6, 1e3);
+            // Four distinct values: runs of equal order statistics.
+            dupes[i] = 0.25 * static_cast<double>(rng.uniformInt(1, 4));
+        }
+        ascending = spread;
+        std::sort(ascending.begin(), ascending.end());
+        for (const auto *v : {&spread, &dupes, &ascending}) {
+            for (const double p : ps) {
+                const double got = percentile(*v, p);
+                const double want = sortedPercentile(*v, p);
+                EXPECT_EQ(std::bit_cast<uint64_t>(got),
+                          std::bit_cast<uint64_t>(want))
+                    << "n=" << n << " p=" << p << " got " << got
+                    << " want " << want;
+            }
+        }
+    }
 }
 
 TEST(PearsonTest, PerfectAndInverse)

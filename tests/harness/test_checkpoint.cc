@@ -4,7 +4,10 @@
  * group-commit flush visibility, the three corruption responses
  * (mangled metadata stops replay, a bad body checksum skips one
  * record, a torn tail stops replay), and record-once semantics (a
- * repeat census over one journal appends nothing).
+ * repeat census over one journal appends nothing).  Also the
+ * handoff flush: concurrent appenders crossing many kFlushBytes
+ * boundaries replay bitwise, and a faulted flush keeps its records
+ * for the next one.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +25,7 @@
 #include "gpu/config_grid.hh"
 #include "harness/checkpoint.hh"
 #include "harness/experiment.hh"
+#include "harness/parallel.hh"
 #include "harness/sweep_cache.hh"
 #include "obs/metrics.hh"
 #include "support/temp_dir.hh"
@@ -276,6 +280,77 @@ TEST(Checkpoint, DroppedAppendIsRetriedByTheNextRecord)
     }
     harness::CensusJournal reopened(dir.path(), "m1", "g1");
     EXPECT_EQ(reopened.loadedRecords(), 1u);
+}
+
+/** Name of the k-th generated record. */
+std::string
+recordName(size_t k)
+{
+    std::string name = "k";
+    name += std::to_string(k);
+    return name;
+}
+
+/** A record big enough that a handful of them fill one flush. */
+std::vector<double>
+bigRecord(size_t k)
+{
+    std::vector<double> v(1000);
+    for (size_t i = 0; i < v.size(); ++i)
+        v[i] = static_cast<double>(k) + 1.0 / static_cast<double>(i + 1);
+    return v;
+}
+
+TEST(Checkpoint, ConcurrentAppendsAcrossFlushesReplayBitwise)
+{
+    test::ScopedTempDir dir("ckpt_concurrent");
+    // ~1.6 MB of records from four workers: every worker hands full
+    // buffers to the writer while the others keep appending.
+    constexpr size_t kRecords = 200;
+    {
+        harness::CensusJournal journal(dir.path(), "m1", "g1");
+        ASSERT_TRUE(journal.active());
+        harness::parallelFor(kRecords, [&](size_t k) {
+            journal.record(recordName(k), bigRecord(k));
+        }, /*max_threads=*/4);
+    }
+    harness::CensusJournal reopened(dir.path(), "m1", "g1");
+    ASSERT_EQ(reopened.loadedRecords(), kRecords);
+    for (size_t k = 0; k < kRecords; ++k) {
+        std::vector<double> out;
+        ASSERT_TRUE(reopened.lookup(recordName(k), out)) << k;
+        EXPECT_EQ(out, bigRecord(k)) << k;
+    }
+}
+
+TEST(Checkpoint, FaultedFlushKeepsItsRecordsForTheNextFlush)
+{
+    test::ScopedTempDir dir("ckpt_flush_fault");
+    const std::string path = dir.path() + "/census.journal";
+    // Enough records to cross kFlushBytes at least once.
+    const size_t n =
+        harness::CensusJournal::kFlushBytes / (1000 * sizeof(double)) + 2;
+    {
+        harness::CensusJournal journal(dir.path(), "m1", "g1");
+        ASSERT_TRUE(journal.active());
+        const auto header_size = std::filesystem::file_size(path);
+        FaultInjector::instance().arm(
+            {{"checkpoint.flush", 1.0, FaultKind::IoError, 0.0}}, 1);
+        for (size_t k = 0; k < n; ++k)
+            journal.record(recordName(k), bigRecord(k));
+        FaultInjector::instance().disarm();
+        EXPECT_EQ(std::filesystem::file_size(path), header_size);
+
+        // The next flush writes what the faulted one kept back.
+        journal.flush();
+    }
+    harness::CensusJournal reopened(dir.path(), "m1", "g1");
+    ASSERT_EQ(reopened.loadedRecords(), n);
+    for (size_t k = 0; k < n; ++k) {
+        std::vector<double> out;
+        ASSERT_TRUE(reopened.lookup(recordName(k), out)) << k;
+        EXPECT_EQ(out, bigRecord(k)) << k;
+    }
 }
 
 } // namespace

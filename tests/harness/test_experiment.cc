@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "gpu/analytic_model.hh"
+#include "harness/cancel.hh"
+#include "harness/parallel.hh"
 #include "workloads/registry.hh"
 
 namespace gpuscale {
@@ -20,6 +25,39 @@ testCensus()
     static const CensusResult census = runCensus(
         gpu::AnalyticModel{}, gpu::ConfigGrid::testGrid());
     return census;
+}
+
+void
+expectSameVerdict(const scaling::ShapeVerdict &got,
+                  const scaling::ShapeVerdict &want,
+                  const std::string &what)
+{
+    EXPECT_EQ(got.shape, want.shape) << what;
+    EXPECT_EQ(got.total_gain, want.total_gain) << what;
+    EXPECT_EQ(got.ideal_gain, want.ideal_gain) << what;
+    EXPECT_EQ(got.efficiency, want.efficiency) << what;
+    EXPECT_EQ(got.monotone_fraction, want.monotone_fraction) << what;
+    EXPECT_EQ(got.saturation_knob, want.saturation_knob) << what;
+    EXPECT_EQ(got.linearity_r2, want.linearity_r2) << what;
+}
+
+/** runCensus's pooled classification is exactly the serial one. */
+void
+expectMatchesClassifyAll(const CensusResult &census)
+{
+    const auto serial = scaling::classifyAll(census.surfaces);
+    ASSERT_EQ(census.classifications.size(), serial.size());
+    for (size_t k = 0; k < serial.size(); ++k) {
+        const auto &got = census.classifications[k];
+        const auto &want = serial[k];
+        EXPECT_EQ(got.kernel, want.kernel);
+        EXPECT_EQ(got.cls, want.cls) << want.kernel;
+        expectSameVerdict(got.freq, want.freq, want.kernel + " freq");
+        expectSameVerdict(got.mem, want.mem, want.kernel + " mem");
+        expectSameVerdict(got.cu, want.cu, want.kernel + " cu");
+        EXPECT_EQ(got.perf_range, want.perf_range) << want.kernel;
+        EXPECT_EQ(got.cu90, want.cu90) << want.kernel;
+    }
 }
 
 TEST(ExperimentTest, CensusCoversWholeZoo)
@@ -76,6 +114,35 @@ TEST(ExperimentTest, DefaultSpaceIsPaperGrid)
     const auto census = runCensus(gpu::AnalyticModel{});
     EXPECT_EQ(census.space.size(), 891u);
     EXPECT_EQ(census.classifications.size(), 267u);
+    expectMatchesClassifyAll(census);
+}
+
+TEST(ExperimentTest, SingleThreadClassificationMatchesClassifyAll)
+{
+    // A parallelFor nested in a pool worker runs serially, so a
+    // census started from one classifies on that single thread.
+    std::optional<CensusResult> census;
+    parallelFor(2, [&](size_t i) {
+        if (i == 0) {
+            census = runCensus(gpu::AnalyticModel{},
+                               gpu::ConfigGrid::testGrid());
+        }
+    }, /*max_threads=*/2);
+    ASSERT_TRUE(census.has_value());
+    expectMatchesClassifyAll(*census);
+}
+
+TEST(ExperimentTest, ExpiredTokenCancelsWholeCensus)
+{
+    CancelToken token;
+    token.cancel();
+    std::optional<CensusResult> census;
+    EXPECT_THROW(census = runCensus(gpu::AnalyticModel{},
+                                    gpu::ConfigGrid::testGrid(),
+                                    scaling::TaxonomyParams{}, nullptr,
+                                    nullptr, &token),
+                 CancelledError);
+    EXPECT_FALSE(census.has_value());
 }
 
 } // namespace
