@@ -2,7 +2,7 @@
  * @file
  * Census benchmark runner: the repo's perf gate.
  *
- * Times the batched, sharded census engine end to end (min-of-N with
+ * Times the batched, parallel census engine end to end (min-of-N with
  * warmup), the legacy scalar single-thread walk it replaced, the
  * single-thread SoA batched walk (the like-for-like >= 8x SIMD gate),
  * the per-stage split of the batched path (plan preparation vs the
@@ -25,11 +25,10 @@
  * interval on the median treated/baseline ratio.  Drift between the
  * two arms' minima (one lucky run) cannot pass or fail the gate.
  *
- * Also sweeps the sparse census over a ladder of sample budgets for
- * both samplers and emits BENCH_sparse.json: classification-agreement
- * vs budget curves against the dense census, plus the
- * agreement_at_10pct_{lhs,active} fields the >= 0.95 accuracy gate
- * checks (docs/prediction.md).
+ * Also sweeps the sparse census over a ladder of sample budgets and
+ * emits BENCH_sparse.json: classification-agreement vs budget curves
+ * against the dense census, plus the agreement_at_10pct_lhs field the
+ * >= 0.95 accuracy gate checks (docs/prediction.md).
  *
  * Also drives an in-process gpuscaled service over its Unix socket
  * (docs/service.md) and emits BENCH_service.json: a latency phase
@@ -211,13 +210,13 @@ run(const RunnerOptions &opts)
     const unsigned threads =
         std::max<unsigned>(1u, std::thread::hardware_concurrency());
 
-    bench::banner("BENCH", "batched sharded census engine");
+    bench::banner("BENCH", "batched parallel census engine");
     std::printf("%zu kernels x %zu configs = %.0f estimates, "
                 "%u hardware threads\n",
                 kernels.size(), space.size(), estimates, threads);
 
     //
-    // 1. The engine under test: batched evaluateGrid + kernel shards
+    // 1. The engine under test: batched evaluateGrid, kernels spread
     //    across the worker pool.  The cache is dropped per run so the
     //    number is compute, not lookups.
     //
@@ -417,7 +416,7 @@ run(const RunnerOptions &opts)
         harness::SweepCache::instance().entries()));
     w.endObject();
     // Registry counters carry the engine's own telemetry: estimate
-    // counts, shard geometry, and cache traffic for the whole process.
+    // counts and cache traffic for the whole process.
     w.key("metrics");
     w.beginObject();
     w.key("sweep.estimates.count").value(static_cast<uint64_t>(
@@ -426,8 +425,6 @@ run(const RunnerOptions &opts)
         registry.counter("sweep.cache.hits").value()));
     w.key("sweep.cache.misses").value(static_cast<uint64_t>(
         registry.counter("sweep.cache.misses").value()));
-    w.key("census.shard.count")
-        .value(registry.gauge("census.shard.count").value());
     w.endObject();
     w.endObject();
     os << '\n';
@@ -524,72 +521,53 @@ run(const RunnerOptions &opts)
     std::vector<SparseCurvePoint> curve;
     // NaN until the ladder reaches 10%; JsonWriter writes it as null.
     double agreement_10pct_lhs = std::nan("");
-    double agreement_10pct_active = std::nan("");
     std::printf("\nsparse census accuracy vs budget:\n");
-    for (const auto sampler :
-         {scaling::SamplerKind::Lhs, scaling::SamplerKind::Active})
-    {
-        for (const double fraction : fractions) {
-            harness::SparseCensusOptions so;
-            so.samples = budgetFor(fraction);
-            so.sampler = sampler;
-            const auto timing = bench::minOfN(0, 1, [&] {
-                harness::SweepCache::instance().clear();
-                const auto sparse = harness::runSparseCensus(
-                    model, space, so, scaling::TaxonomyParams{});
-                const double agreement = harness::sparseAgreement(
-                    sparse, dense.classifications);
-                double mean_confidence = 0.0;
-                uint64_t disagreements = 0, banded = 0;
-                for (size_t k = 0;
-                     k < sparse.classifications.size(); ++k)
+    for (const double fraction : fractions) {
+        harness::SparseCensusOptions so;
+        so.samples = budgetFor(fraction);
+        const auto timing = bench::minOfN(0, 1, [&] {
+            harness::SweepCache::instance().clear();
+            const auto sparse = harness::runSparseCensus(
+                model, space, so, scaling::TaxonomyParams{});
+            const double agreement = harness::sparseAgreement(
+                sparse, dense.classifications);
+            double mean_confidence = 0.0;
+            uint64_t disagreements = 0, banded = 0;
+            for (size_t k = 0; k < sparse.classifications.size(); ++k) {
+                mean_confidence += sparse.reconstructions[k].confidence;
+                const auto *dc = harness::findClassification(
+                    dense, sparse.classifications[k].kernel);
+                if (dc == nullptr ||
+                    dc->cls == sparse.classifications[k].cls)
                 {
-                    mean_confidence +=
-                        sparse.reconstructions[k].confidence;
-                    const auto *dc = harness::findClassification(
-                        dense, sparse.classifications[k].kernel);
-                    if (dc == nullptr ||
-                        dc->cls == sparse.classifications[k].cls)
-                    {
-                        continue;
-                    }
-                    ++disagreements;
-                    banded += sparse.reconstructions[k]
-                                  .band_crosses_boundary;
+                    continue;
                 }
-                if (!sparse.classifications.empty()) {
-                    mean_confidence /= static_cast<double>(
-                        sparse.classifications.size());
-                }
-                curve.push_back({scaling::samplerKindName(sampler),
-                                 so.samples, fraction, agreement,
-                                 mean_confidence, disagreements,
-                                 banded, 0.0});
-            });
-            curve.back().wall_s = timing.min_s;
-            if (fraction == 0.10 &&
-                sampler == scaling::SamplerKind::Lhs)
-            {
-                agreement_10pct_lhs = curve.back().agreement;
+                ++disagreements;
+                banded += sparse.reconstructions[k].band_crosses_boundary;
             }
-            if (fraction == 0.10 &&
-                sampler == scaling::SamplerKind::Active)
-            {
-                agreement_10pct_active = curve.back().agreement;
+            if (!sparse.classifications.empty()) {
+                mean_confidence /= static_cast<double>(
+                    sparse.classifications.size());
             }
-            std::printf("  %-6s k=%4zu (%4.1f%%): agreement %.4f, "
-                        "confidence %.3f, %llu/%llu disagreements "
-                        "banded, %.3f s\n",
-                        curve.back().sampler.c_str(),
-                        curve.back().samples, 100.0 * fraction,
-                        curve.back().agreement,
-                        curve.back().mean_confidence,
-                        static_cast<unsigned long long>(
-                            curve.back().disagreements_banded),
-                        static_cast<unsigned long long>(
-                            curve.back().disagreements),
-                        curve.back().wall_s);
-        }
+            curve.push_back({scaling::samplerKindName(so.sampler),
+                             so.samples, fraction, agreement,
+                             mean_confidence, disagreements, banded,
+                             0.0});
+        });
+        curve.back().wall_s = timing.min_s;
+        if (fraction == 0.10)
+            agreement_10pct_lhs = curve.back().agreement;
+        std::printf("  %-6s k=%4zu (%4.1f%%): agreement %.4f, "
+                    "confidence %.3f, %llu/%llu disagreements "
+                    "banded, %.3f s\n",
+                    curve.back().sampler.c_str(), curve.back().samples,
+                    100.0 * fraction, curve.back().agreement,
+                    curve.back().mean_confidence,
+                    static_cast<unsigned long long>(
+                        curve.back().disagreements_banded),
+                    static_cast<unsigned long long>(
+                        curve.back().disagreements),
+                    curve.back().wall_s);
     }
 
     std::ofstream sos(opts.sparse_output);
@@ -617,11 +595,10 @@ run(const RunnerOptions &opts)
         sw.endObject();
     }
     sw.endArray();
-    // The jq gate's fields: agreement at the 10% budget (null on the
+    // The jq gate's field: agreement at the 10% budget (null on the
     // test grid, whose ladder has no 10% point — the gate only runs
     // on the paper grid).
     sw.key("agreement_at_10pct_lhs").value(agreement_10pct_lhs);
-    sw.key("agreement_at_10pct_active").value(agreement_10pct_active);
     sw.key("metrics");
     sw.beginObject();
     sw.key("sparse.samples.count").value(static_cast<uint64_t>(

@@ -5,7 +5,6 @@
 
 #include "sparse.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -73,7 +72,9 @@ sparseKeyFor(const gpu::PerfModel &model, const gpu::KernelDesc &kernel,
  * header already pins the model and grid; the name adds the plan
  * inputs.  It must not contain '|', which ends the name in the
  * journal's record framing (checkpoint.hh), and it cannot collide
- * with a dense record, which is the bare kernel name.
+ * with a dense record, which is the bare kernel name.  The sampler
+ * field is always "lhs" now, but it stays in the name so journals
+ * written by earlier builds keep resuming.
  */
 std::string
 sparseRecordName(const gpu::KernelDesc &kernel,
@@ -169,23 +170,10 @@ sparseSweepKernel(const gpu::PerfModel &model,
         // The scalar estimate() is bitwise-identical to the batched
         // grid walk (the differential tests assert it), so sampled
         // points agree exactly with what a dense sweep would report.
-        const auto measureOne = [&](size_t flat) {
-            return model.estimate(kernel, space.at(flat)).time_s;
-        };
-        switch (options.sampler) {
-          case scaling::SamplerKind::Lhs:
-            indices = predictor.lhsPlan(options.samples);
-            runtimes.reserve(indices.size());
-            for (const size_t flat : indices)
-                runtimes.push_back(measureOne(flat));
-            break;
-          case scaling::SamplerKind::Active:
-            indices = predictor.activePlan(options.samples, measureOne);
-            runtimes.reserve(indices.size());
-            for (const size_t flat : indices)
-                runtimes.push_back(measureOne(flat));
-            break;
-        }
+        indices = predictor.lhsPlan(options.samples);
+        runtimes.reserve(indices.size());
+        for (const size_t flat : indices)
+            runtimes.push_back(model.estimate(kernel, space.at(flat)).time_s);
         packed = packSamples(indices, runtimes);
         SweepCache::instance().insert(key, packed);
         debuglog("sparse %s: %zu samples", kernel.name.c_str(),
@@ -235,25 +223,15 @@ runSparseCensus(const gpu::PerfModel &model,
              scaling::samplerKindName(options.sampler).c_str(),
              model.name().c_str());
 
-    // Same sharding shape as the dense sweepKernels(): contiguous
-    // slices, several per worker, results into pre-sized slots.
-    const size_t workers =
-        std::max<unsigned>(1u, std::thread::hardware_concurrency());
-    const size_t num_shards =
-        std::min(kernels.size(), std::max<size_t>(1, workers * 4));
-
+    // As in the dense sweepKernels(): one pool index per kernel,
+    // results into pre-sized slots.
     std::vector<std::optional<scaling::SparseReconstruction>> slots(
         kernels.size());
-    parallelFor(num_shards, [&](size_t shard) {
-        const size_t n = kernels.size();
-        const size_t begin = shard * n / num_shards;
-        const size_t end = (shard + 1) * n / num_shards;
-        for (size_t k = begin; k < end; ++k) {
-            slots[k] = sparseSweepKernel(model, *kernels[k], predictor,
-                                         options, params, journal);
-            if (progress != nullptr)
-                progress->tick();
-        }
+    parallelFor(kernels.size(), [&](size_t k) {
+        slots[k] = sparseSweepKernel(model, *kernels[k], predictor,
+                                     options, params, journal);
+        if (progress != nullptr)
+            progress->tick();
     });
 
     census.reconstructions.reserve(kernels.size());

@@ -2,20 +2,19 @@
  * @file
  * Sweep harness implementation.
  *
- * The hot path is batched and sharded: each kernel is one
+ * The hot path is batched: each kernel is one
  * PerfModel::evaluateGridRuntimes() call (the model hoists
  * grid-invariant work into a flat SoA plan and returns the runtime
  * vector directly — no KernelPerf materialization), consulted
- * through the SweepCache first, and kernels are distributed across
- * the worker pool in contiguous shards rather than one dispatch per
- * kernel.  The flat vector feeds the sweep cache as-is.
+ * through the SweepCache first, and kernels are spread over the
+ * worker pool by parallelFor().  The flat vector feeds the sweep
+ * cache as-is.
  */
 
 #include "sweep.hh"
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 
 #include "base/fault.hh"
 #include "base/logging.hh"
@@ -37,8 +36,6 @@ struct SweepMetrics {
     obs::Counter &estimates;
     obs::Counter &kernels;
     obs::Histogram &latency;
-    obs::Gauge &shards;
-    obs::Histogram &shard_latency;
 
     static SweepMetrics &
     get()
@@ -52,12 +49,6 @@ struct SweepMetrics {
             obs::Registry::instance().histogram(
                 "sweep.estimate.latency",
                 "seconds per model estimate"),
-            obs::Registry::instance().gauge(
-                "census.shard.count",
-                "kernel shards in the last sweepKernels call"),
-            obs::Registry::instance().histogram(
-                "census.shard.latency",
-                "seconds per kernel shard"),
         };
         return m;
     }
@@ -125,50 +116,28 @@ sweepKernels(const gpu::PerfModel &model,
     for (const auto *kernel : kernels)
         panic_if(kernel == nullptr, "sweepKernels: null kernel");
 
-    SweepMetrics &metrics = SweepMetrics::get();
-
-    //
-    // Shard kernels into contiguous slices, several per worker so a
-    // slow kernel (or a run of cache hits) cannot stall the tail.
-    // Each shard is one pool dispatch instead of one per kernel.
-    //
-    const size_t workers =
-        std::max<unsigned>(1u, std::thread::hardware_concurrency());
-    const size_t num_shards =
-        std::min(kernels.size(), std::max<size_t>(1, workers * 4));
-    metrics.shards.set(static_cast<double>(num_shards));
-
-    // Build surfaces into pre-sized slots so workers never contend.
+    // One pool index per kernel; parallelFor() hands indices out in
+    // contiguous chunks, and results go to pre-sized slots so workers
+    // never contend.
     std::vector<std::vector<double>> runtimes(kernels.size());
-    parallelFor(num_shards, [&](size_t shard) {
-        const auto t0 = std::chrono::steady_clock::now();
-        // Balanced contiguous partition of [0, n) into num_shards.
-        const size_t n = kernels.size();
-        const size_t begin = shard * n / num_shards;
-        const size_t end = (shard + 1) * n / num_shards;
-        for (size_t k = begin; k < end; ++k) {
-            // Journal first: a replayed kernel skips the sweep (and
-            // the cache) entirely, and is not re-recorded.
-            if (journal != nullptr &&
-                journal->lookup(kernels[k]->name, runtimes[k])) {
-                if (progress != nullptr)
-                    progress->tick();
-                continue;
-            }
-            // The cache key folds the whole descriptor (a few
-            // microseconds), so it is built in the shard, and only
-            // for kernels the journal did not replay.
-            runtimes[k] = sweepOne(
-                model, *kernels[k], grid,
-                SweepCache::keyFor(model, *kernels[k], grid));
-            if (journal != nullptr)
-                journal->record(kernels[k]->name, runtimes[k]);
+    parallelFor(kernels.size(), [&](size_t k) {
+        // Journal first: a replayed kernel skips the sweep (and the
+        // cache) entirely, and is not re-recorded.
+        if (journal != nullptr &&
+            journal->lookup(kernels[k]->name, runtimes[k])) {
             if (progress != nullptr)
                 progress->tick();
+            return;
         }
-        const auto t1 = std::chrono::steady_clock::now();
-        metrics.shard_latency.record(
-            std::chrono::duration<double>(t1 - t0).count());
+        // The cache key folds the whole descriptor (a few
+        // microseconds), so it is built in the worker, and only for
+        // kernels the journal did not replay.
+        runtimes[k] = sweepOne(model, *kernels[k], grid,
+                               SweepCache::keyFor(model, *kernels[k], grid));
+        if (journal != nullptr)
+            journal->record(kernels[k]->name, runtimes[k]);
+        if (progress != nullptr)
+            progress->tick();
     }, 0, cancel);
 
     std::vector<scaling::ScalingSurface> surfaces;

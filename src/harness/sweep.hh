@@ -37,9 +37,9 @@ scaling::ScalingSurface sweepKernel(const gpu::PerfModel &model,
                                     const gpu::ConfigGrid &grid);
 
 /**
- * Measure a batch of kernels; kernels are distributed across worker
- * threads in contiguous shards (census.shard.* metrics), each kernel
- * evaluated as one batched grid call through the SweepCache.
+ * Measure a batch of kernels; parallelFor() spreads the kernels over
+ * the worker pool, and each kernel is evaluated as one batched grid
+ * call through the SweepCache.
  *
  * Each swept kernel records a "sweep/<name>" trace span and feeds the
  * sweep.estimate.latency histogram (see docs/observability.md).

@@ -300,10 +300,16 @@ class Parser
     {
         skipWs();
         const char c = peek();
-        if (c == '{')
-            return parseObject();
-        if (c == '[')
-            return parseArray();
+        if (c == '{' || c == '[') {
+            // Each level recurses, so unbounded nesting would
+            // overflow the stack instead of failing the parse.
+            if (++depth_ > kMaxJsonDepth)
+                fail("nesting deeper than " +
+                     std::to_string(kMaxJsonDepth));
+            JsonValue v = c == '{' ? parseObject() : parseArray();
+            --depth_;
+            return v;
+        }
         if (c == '"') {
             JsonValue v;
             v.type = JsonValue::Type::String;
@@ -484,6 +490,7 @@ class Parser
 
     const std::string &text_;
     size_t pos_ = 0;
+    size_t depth_ = 0; ///< open arrays/objects
 };
 
 } // namespace

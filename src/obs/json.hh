@@ -17,6 +17,7 @@
 #ifndef GPUSCALE_OBS_JSON_HH
 #define GPUSCALE_OBS_JSON_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <ostream>
@@ -106,10 +107,14 @@ struct JsonValue {
     const JsonValue &at(const std::string &k) const;
 };
 
+/** Deepest array/object nesting parseJson() accepts. */
+constexpr size_t kMaxJsonDepth = 256;
+
 /**
  * Parse a complete JSON document.
  *
- * @throw std::runtime_error on malformed input (with offset info).
+ * @throw std::runtime_error on malformed input (with offset info),
+ *        including nesting deeper than kMaxJsonDepth.
  */
 JsonValue parseJson(const std::string &text);
 

@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "base/logging.hh"
 #include "base/random.hh"
@@ -92,24 +91,9 @@ std::string
 samplerKindName(SamplerKind kind)
 {
     switch (kind) {
-      case SamplerKind::Lhs:    return "lhs";
-      case SamplerKind::Active: return "active";
+      case SamplerKind::Lhs: return "lhs";
     }
     panic("unknown sampler kind %d", static_cast<int>(kind));
-}
-
-bool
-parseSamplerKind(const std::string &name, SamplerKind *out)
-{
-    if (name == "lhs") {
-        *out = SamplerKind::Lhs;
-        return true;
-    }
-    if (name == "active") {
-        *out = SamplerKind::Active;
-        return true;
-    }
-    return false;
 }
 
 /** Canonical sample set: ascending flat order, axis indices cached. */
@@ -423,81 +407,6 @@ SparsePredictor::ensembleSurfaces(const std::string &kernel_name,
         members.push_back(std::move(member));
     }
     return members;
-}
-
-std::vector<size_t>
-SparsePredictor::activePlan(
-    size_t budget, const std::function<double(size_t)> &measure) const
-{
-    fatal_if(budget < minSamples(),
-             "sparse: budget %zu below the minimum %zu "
-             "(anchor slices + 1)",
-             budget, minSamples());
-    fatal_if(budget > space_.size(),
-             "sparse: budget %zu exceeds the %zu-point grid", budget,
-             space_.size());
-    fatal_if(!measure, "sparse: active plan needs a measure callback");
-
-    std::vector<char> selected(space_.size(), 0);
-    std::vector<size_t> plan;
-    std::vector<double> measured;
-    auto take = [&](size_t flat) {
-        selected[flat] = 1;
-        plan.push_back(flat);
-        measured.push_back(measure(flat));
-    };
-
-    for (const size_t flat : anchorConfigs())
-        take(flat);
-
-    // Seed: a third of the free budget by LHS, so the first ensemble
-    // fit has off-slice support before the greedy loop steers.
-    const size_t free_budget = budget - plan.size();
-    const size_t seed_count = free_budget / 3;
-    Rng rng(options_.seed);
-    for (int round = 0;
-         round < 16 && plan.size() < anchorConfigs().size() + seed_count;
-         ++round)
-    {
-        const auto candidates = lhsCandidates(budget, rng);
-        for (const size_t flat : candidates) {
-            if (plan.size() >= anchorConfigs().size() + seed_count)
-                break;
-            if (selected[flat])
-                continue;
-            take(flat);
-        }
-    }
-
-    // Greedy: measure next where the bootstrap ensemble disagrees
-    // most (widest log-runtime spread); ties break toward the lowest
-    // flat index so the sequence is deterministic.
-    while (plan.size() < budget) {
-        const Samples samples = canonicalize(plan, measured);
-        const auto members = ensembleSurfaces("", samples);
-        size_t best = space_.size();
-        double best_spread = -1.0;
-        for (size_t flat = 0; flat < space_.size(); ++flat) {
-            if (selected[flat])
-                continue;
-            double lo = std::numeric_limits<double>::infinity();
-            double hi = -std::numeric_limits<double>::infinity();
-            for (const auto &member : members) {
-                const double y = std::log(member[flat]);
-                lo = std::min(lo, y);
-                hi = std::max(hi, y);
-            }
-            const double spread = hi - lo;
-            if (spread > best_spread) {
-                best_spread = spread;
-                best = flat;
-            }
-        }
-        if (best == space_.size())
-            break; // every configuration measured
-        take(best);
-    }
-    return plan;
 }
 
 SparseReconstruction

@@ -26,9 +26,7 @@
  *    those ~27 points are what classifySurface() actually reads, and
  *    measuring them directly is the cheapest way to make a sparse
  *    classification trustworthy.  The remaining budget is spent by a
- *    Latin-hypercube draw (lhs) or by active learning (active): fit a
- *    bootstrap ensemble, measure next where the ensemble's
- *    predictions disagree most.
+ *    stratified Latin-hypercube draw (lhs).
  *  - Confidence comes from the same ensemble: each member is a fit on
  *    a deterministic bootstrap resample of the samples; per-point
  *    bands are the ensemble envelope, and per-kernel confidence is
@@ -45,7 +43,6 @@
 #define GPUSCALE_SCALING_SPARSE_PREDICTOR_HH
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -58,20 +55,19 @@
 namespace gpuscale {
 namespace scaling {
 
-/** How a sparse sample plan spends its non-anchor budget. */
+/**
+ * How a sparse sample plan spends its non-anchor budget.  Lhs is the
+ * only sampler; the enum stays because its name is part of every
+ * sparse journal record ("<kernel>@sparse:lhs:k=...") and manifest,
+ * and existing journals must keep resuming.
+ */
 enum class SamplerKind {
     /** One stratified Latin-hypercube draw up front. */
     Lhs,
-
-    /** LHS seed, then greedy max-ensemble-disagreement picks. */
-    Active,
 };
 
-/** Display / CLI name ("lhs", "active"). */
+/** Record / manifest name ("lhs"). */
 std::string samplerKindName(SamplerKind kind);
-
-/** Parse a sampler name; false when unrecognized. */
-bool parseSamplerKind(const std::string &name, SamplerKind *out);
 
 /** Tunables for the sparse fit and its confidence ensemble. */
 struct SparseFitOptions {
@@ -165,23 +161,6 @@ class SparsePredictor
      *        [minSamples(), space().size()].
      */
     std::vector<size_t> lhsPlan(size_t budget) const;
-
-    /**
-     * Active-learning sample plan.  Seeds with the anchors plus a
-     * third of the remaining budget as an LHS draw, then repeatedly
-     * fits the bootstrap ensemble to everything measured so far and
-     * measures the configuration with the widest ensemble spread in
-     * log-runtime (ties break toward the lowest flat index).
-     * Deterministic given (space, options, budget, measure).
-     *
-     * @param budget as lhsPlan().
-     * @param measure called once per chosen configuration, in plan
-     *        order, returning the measured runtime in seconds.
-     * @return the chosen configurations in measurement order.
-     */
-    std::vector<size_t> activePlan(
-        size_t budget,
-        const std::function<double(size_t)> &measure) const;
 
     /**
      * Fit the separable surface and reconstruct every grid point.

@@ -21,6 +21,7 @@
 #ifndef GPUSCALE_SERVICE_PROTOCOL_HH
 #define GPUSCALE_SERVICE_PROTOCOL_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -29,6 +30,14 @@
 
 namespace gpuscale {
 namespace service {
+
+/**
+ * Longest request line the daemon buffers, newline excluded.  A
+ * connection whose pending line grows past it gets one BAD_REQUEST
+ * frame and is closed, so a client that never sends a newline cannot
+ * grow the daemon's memory without bound.
+ */
+constexpr size_t kMaxLineBytes = 64 * 1024;
 
 /** Typed error codes; the wire form is the upper-snake name. */
 enum class ErrorCode {

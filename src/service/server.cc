@@ -287,14 +287,20 @@ Service::loadCensus()
         return false;
     }
     syncJournal();
+    publishCensus(std::move(fresh->classifications));
+    return true;
+}
 
+void
+Service::publishCensus(
+    std::vector<scaling::KernelClassification> classifications)
+{
     std::lock_guard<std::mutex> lock(census_mutex_);
-    census_ = std::move(fresh->classifications);
+    census_ = std::move(classifications);
     census_loaded_ = true;
     class_index_.clear();
     for (size_t i = 0; i < census_.size(); ++i)
         class_index_[census_[i].kernel] = i;
-    return true;
 }
 
 void
@@ -485,6 +491,21 @@ Service::connectionLoop(Connection *conn)
 
     while (true) {
         const size_t nl = buf.find('\n');
+        // Cap the line being assembled, not the buffer: a pipelining
+        // client may legitimately have many whole frames in flight.
+        const size_t line_bytes =
+            nl == std::string::npos ? buf.size() : nl;
+        if (line_bytes > kMaxLineBytes) {
+            ServiceMetrics::get().errors.inc();
+            writeFrame(conn->fd,
+                       renderError(0, ErrorCode::BadRequest,
+                                   "request line exceeds " +
+                                       std::to_string(kMaxLineBytes) +
+                                       " bytes"),
+                       deadlineFromMs(steady_clock::now(),
+                                      opts_.default_deadline_ms));
+            break;
+        }
         if (nl == std::string::npos) {
             // Injection site: a fired fault models one failed recv;
             // the round is retried like EINTR.  A wall of
@@ -806,12 +827,7 @@ Service::handleCensus(const Request &req,
                                    : ErrorCode::DeadlineExceeded,
                                "census refresh cancelled");
         }
-        std::lock_guard<std::mutex> lock(census_mutex_);
-        census_ = std::move(fresh->classifications);
-        census_loaded_ = true;
-        class_index_.clear();
-        for (size_t i = 0; i < census_.size(); ++i)
-            class_index_[census_[i].kernel] = i;
+        publishCensus(std::move(fresh->classifications));
     }
 
     std::lock_guard<std::mutex> lock(census_mutex_);

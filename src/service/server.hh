@@ -132,6 +132,9 @@ class Service
     bool writeFrame(int fd, const std::string &frame,
                     std::chrono::steady_clock::time_point deadline);
     void reapConnections(bool join_all);
+    /** Swap in a finished census and rebuild the kernel index. */
+    void publishCensus(
+        std::vector<scaling::KernelClassification> classifications);
     void stopSignalWatcher();
     void syncJournal();
 

@@ -107,8 +107,6 @@ struct CliOptions {
 
     /** Sparse census (census --sparse=K); 0 means dense. */
     size_t sparse_samples = 0;
-    scaling::SamplerKind sampler = scaling::SamplerKind::Lhs;
-    bool sampler_given = false;
     uint64_t sparse_seed = 0;
 };
 
@@ -227,7 +225,6 @@ runSparseCensusCmd(double sigma, const CliOptions &opts,
     const auto space = gpu::ConfigGrid::paperGrid();
     harness::SparseCensusOptions sparse;
     sparse.samples = opts.sparse_samples;
-    sparse.sampler = opts.sampler;
     sparse.seed = opts.sparse_seed;
 
     // Budget bounds are a usage error (exit 3), not a fatal(): the
@@ -426,8 +423,6 @@ usage()
         "  --sparse=K           census: measure only K configs per\n"
         "                       kernel, reconstruct the rest\n"
         "                       (docs/prediction.md)\n"
-        "  --sampler=NAME       sparse sample planner: lhs (default)\n"
-        "                       or active\n"
         "  --sparse-seed=N      seed for sparse plans/ensembles\n"
         "env: GPUSCALE_FAULTS, GPUSCALE_FAULT_SEED, GPUSCALE_RETRY "
         "(see docs/fault_tolerance.md),\n"
@@ -483,18 +478,6 @@ main(int argc, char **argv)
                 return kExitBadArguments;
             }
             opts.sparse_samples = static_cast<size_t>(*parsed);
-        } else if (arg.rfind("--sampler=", 0) == 0) {
-            if (!scaling::parseSamplerKind(arg.substr(10),
-                                           &opts.sampler))
-            {
-                std::fprintf(stderr,
-                             "--sampler: '%s' is not a sampler "
-                             "(lhs, active)\n",
-                             arg.substr(10).c_str());
-                usage();
-                return kExitBadArguments;
-            }
-            opts.sampler_given = true;
         } else if (arg.rfind("--sparse-seed=", 0) == 0) {
             const auto parsed = parseDouble(arg.substr(14));
             if (!parsed || *parsed < 0 ||
@@ -545,9 +528,9 @@ main(int argc, char **argv)
         if (opts.sparse_samples > 0) {
             rc = runSparseCensusCmd(sigma, opts, argv_record);
         } else {
-            if (opts.sampler_given || opts.sparse_seed != 0) {
+            if (opts.sparse_seed != 0) {
                 std::fprintf(stderr,
-                             "census: --sampler/--sparse-seed need "
+                             "census: --sparse-seed needs "
                              "--sparse=K\n");
                 usage();
                 return kExitBadArguments;

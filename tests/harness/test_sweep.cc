@@ -13,9 +13,15 @@
 
 #include "gpu/analytic_model.hh"
 #include "gpu/kernel_desc.hh"
+#include "harness/checkpoint.hh"
+#include "harness/experiment.hh"
 #include "harness/parallel.hh"
+#include "harness/sparse.hh"
 #include "harness/thread_pool.hh"
+#include "obs/progress.hh"
+#include "support/temp_dir.hh"
 #include "workloads/archetypes.hh"
+#include "workloads/registry.hh"
 
 namespace gpuscale {
 namespace harness {
@@ -103,6 +109,54 @@ TEST(SweepTest, EmptyBatch)
     const gpu::AnalyticModel model;
     const auto space = gpu::ConfigGrid::testGrid();
     EXPECT_TRUE(sweepKernels(model, {}, space).empty());
+}
+
+// Progress counts kernels, not pool chunks: every kernel ticks once,
+// whether it was swept, replayed from the journal, or sparse-sampled.
+TEST(SweepProgressTest, FreshDenseCensusTicksOncePerKernel)
+{
+    const gpu::AnalyticModel model;
+    const size_t n =
+        workloads::WorkloadRegistry::instance().allKernels().size();
+    obs::ProgressReporter progress("census", n, false);
+    runCensus(model, gpu::ConfigGrid::testGrid(), {}, &progress);
+    EXPECT_EQ(progress.done(), n);
+}
+
+TEST(SweepProgressTest, ReplayedKernelsTickToo)
+{
+    const gpu::AnalyticModel model;
+    const auto space = gpu::ConfigGrid::testGrid();
+    const auto kernels =
+        workloads::WorkloadRegistry::instance().allKernels();
+    const std::vector<const gpu::KernelDesc *> first_half(
+        kernels.begin(), kernels.begin() + kernels.size() / 2);
+    test::ScopedTempDir dir("sweep_progress");
+    {
+        CensusJournal journal(dir.path(), model.fingerprint(),
+                              space.fingerprint());
+        sweepKernels(model, first_half, space, nullptr, &journal);
+    }
+
+    CensusJournal journal(dir.path(), model.fingerprint(),
+                          space.fingerprint());
+    ASSERT_EQ(journal.loadedRecords(), first_half.size());
+    obs::ProgressReporter progress("census", kernels.size(), false);
+    runCensus(model, space, {}, &progress, &journal);
+    EXPECT_EQ(progress.done(), kernels.size());
+}
+
+TEST(SweepProgressTest, SparseCensusTicksOncePerKernel)
+{
+    const gpu::AnalyticModel model;
+    const size_t n =
+        workloads::WorkloadRegistry::instance().allKernels().size();
+    SparseCensusOptions options;
+    options.samples = 14;
+    obs::ProgressReporter progress("census", n, false);
+    runSparseCensus(model, gpu::ConfigGrid::testGrid(), options, {},
+                    &progress);
+    EXPECT_EQ(progress.done(), n);
 }
 
 } // namespace

@@ -15,8 +15,10 @@
 
 #include "gpu/analytic_model.hh"
 #include "gpu/config_grid.hh"
+#include "harness/experiment.hh"
 #include "harness/noise.hh"
 #include "harness/parallel.hh"
+#include "harness/sparse.hh"
 #include "harness/sweep.hh"
 #include "harness/sweep_cache.hh"
 #include "obs/metrics.hh"
@@ -150,6 +152,29 @@ TEST_F(SweepCacheTest, RepeatSweepHitsAndReturnsIdenticalRuntimes)
     ASSERT_EQ(first.runtimes().size(), second.runtimes().size());
     for (size_t i = 0; i < first.runtimes().size(); ++i)
         EXPECT_EQ(first.runtimes()[i], second.runtimes()[i]);
+}
+
+// perfbench's harness.cache_hit_ratio is hits / (hits + misses) over
+// a census_cold or sparse_census run: it is only a number while both
+// census paths look every kernel up in the cache.  A cold cache must
+// therefore count exactly one miss per kernel for each of them.
+TEST_F(SweepCacheTest, ColdCensusesMissOncePerKernel)
+{
+    const gpu::AnalyticModel model;
+    const auto space = gpu::ConfigGrid::testGrid();
+    const uint64_t kernels =
+        workloads::WorkloadRegistry::instance().allKernels().size();
+
+    uint64_t misses = counterValue("sweep.cache.misses");
+    harness::runCensus(model, space);
+    EXPECT_EQ(counterValue("sweep.cache.misses"), misses + kernels);
+
+    harness::SweepCache::instance().clear();
+    misses = counterValue("sweep.cache.misses");
+    harness::SparseCensusOptions options;
+    options.samples = 14;
+    harness::runSparseCensus(model, space, options);
+    EXPECT_EQ(counterValue("sweep.cache.misses"), misses + kernels);
 }
 
 TEST_F(SweepCacheTest, ConcurrentSweepsHitAndMissCoherently)

@@ -13,6 +13,9 @@
  *     and every kernel classified over the socket is bitwise
  *     identical to an uninterrupted in-process census.
  *
+ *  3. Limits: over-long and over-deep request frames get BAD_REQUEST
+ *     and the daemon keeps serving other clients.
+ *
  * Fork discipline: the saturation test runs first and all forks
  * happen before this process creates any threads (client threads are
  * joined before the next fork; the in-process census that spins up
@@ -22,12 +25,16 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/types.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -45,6 +52,7 @@
 #include "scaling/shape.hh"
 #include "scaling/taxonomy.hh"
 #include "service/client.hh"
+#include "service/protocol.hh"
 #include "service/server.hh"
 #include "support/temp_dir.hh"
 #include "workloads/registry.hh"
@@ -246,6 +254,135 @@ TEST(ServiceSaturation, FaultMatrixShedsTypedAndNeverHangs)
               kThreads * kCallsPerThread / 2);
 
     // SIGTERM: drain must finish promptly and exit clean.
+    ASSERT_EQ(::kill(child, SIGTERM), 0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFEXITED(status))
+        << "daemon died of signal " << WTERMSIG(status);
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+/**
+ * Write `bytes` on a fresh connection and return the first response
+ * line (without its newline), or "" if none came.  The daemon may
+ * close the connection mid-write (that is what the line cap does), so
+ * a failed send ends the write, not the exchange.
+ */
+std::string
+rawExchange(const std::string &socket_path, const std::string &bytes)
+{
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0)
+        return "";
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, socket_path.c_str(),
+                 sizeof addr.sun_path - 1);
+    if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                  sizeof addr) != 0) {
+        ::close(fd);
+        return "";
+    }
+    const timeval timeout{10, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
+    for (size_t off = 0; off < bytes.size();) {
+        const ssize_t n = ::send(fd, bytes.data() + off,
+                                 bytes.size() - off, MSG_NOSIGNAL);
+        if (n <= 0)
+            break;
+        off += static_cast<size_t>(n);
+    }
+    std::string line;
+    char c = 0;
+    while (::recv(fd, &c, 1, 0) == 1 && c != '\n')
+        line.push_back(c);
+    ::close(fd);
+    return line;
+}
+
+/** ADD_FAILURE unless `frame` is a BAD_REQUEST error frame. */
+void
+expectBadRequest(const std::string &frame, const std::string &what)
+{
+    const auto doc = parseFrame(frame);
+    ASSERT_TRUE(doc.isObject()) << what;
+    const auto *error = doc.find("error");
+    ASSERT_NE(error, nullptr) << what << ": " << frame;
+    EXPECT_EQ(error->at("code").str, "BAD_REQUEST") << what;
+}
+
+// The parser bounds (docs/service.md, "Limits"): a line longer than
+// kMaxLineBytes or a document nested deeper than obs::kMaxJsonDepth
+// gets one BAD_REQUEST frame, and the daemon keeps serving everyone
+// else.  Before the bounds, one 200,000-'[' line overflowed the
+// parser's stack and killed the daemon.  Forks before the resume
+// test, like the saturation test, and starts no threads.
+TEST(ServiceLimits, OversizedAndDeepFramesGetBadRequest)
+{
+    test::ScopedTempDir dir("svc_limits");
+    const std::string socket_path = dir.sub("gpuscaled.sock");
+
+    const pid_t child = fork();
+    ASSERT_NE(child, -1);
+    if (child == 0) {
+        service::ServiceOptions opts;
+        opts.socket_path = socket_path;
+        opts.test_grid = true;
+        const gpu::AnalyticModel model;
+        service::Service svc(opts, model);
+        if (!svc.start())
+            _exit(10);
+        svc.installSignalDrain();
+        svc.serve();
+        _exit(0);
+    }
+
+    const std::string health = "{\"id\":1,\"op\":\"health\"}";
+    service::Client bystander(socket_path);
+    ASSERT_TRUE(bystander.connect(10000.0));
+    const auto expectServed = [&](service::Client &client,
+                                  const std::string &request,
+                                  const std::string &what) {
+        std::string resp;
+        ASSERT_TRUE(client.call(request, 5000.0, &resp)) << what;
+        const auto doc = parseFrame(resp);
+        ASSERT_TRUE(doc.isObject()) << what;
+        EXPECT_TRUE(doc.at("ok").boolean) << what << ": " << resp;
+    };
+    expectServed(bystander, health, "before");
+
+    // A newline-free stream is cut off at the cap, not buffered.
+    expectBadRequest(rawExchange(socket_path, std::string(1 << 20, 'x')),
+                     "1 MiB without a newline");
+    expectServed(bystander, health, "after the 1 MiB stream");
+
+    // The line that used to crash the daemon.
+    expectBadRequest(
+        rawExchange(socket_path, std::string(200000, '[') + "\n"),
+        "200,000 '['");
+    expectServed(bystander, health, "after 200,000 '['");
+
+    // Deep nesting inside the line cap reaches the parser, which
+    // rejects it; that connection stays open and usable.
+    {
+        service::Client deep(socket_path);
+        ASSERT_TRUE(deep.connect(10000.0));
+        std::string resp;
+        ASSERT_TRUE(deep.call(std::string(60000, '['), 5000.0, &resp));
+        expectBadRequest(resp, "60,000 '['");
+        expectServed(deep, health, "same connection after deep nesting");
+    }
+
+    // The cap is inclusive: a request of exactly kMaxLineBytes is
+    // served, one byte more is not.
+    std::string padded = health;
+    padded.resize(service::kMaxLineBytes, ' ');
+    expectServed(bystander, padded, "line of exactly the cap");
+    expectBadRequest(rawExchange(socket_path, padded + " \n"),
+                     "line one byte over the cap");
+    expectServed(bystander, health, "after");
+
     ASSERT_EQ(::kill(child, SIGTERM), 0);
     int status = 0;
     ASSERT_EQ(::waitpid(child, &status, 0), child);

@@ -6,8 +6,7 @@
  * grid from ~5–10% of measured points) is enforced here at the 10%
  * budget (89 of 891 configurations):
  *
- *  - class agreement with the dense census must be >= 95% for BOTH
- *    samplers, and
+ *  - class agreement with the dense census must be >= 95%, and
  *  - every disagreement must be *flagged*: its confidence band has to
  *    straddle a class boundary (band_crosses_boundary), so a consumer
  *    filtering on the band never acts on a silently wrong class.
@@ -43,20 +42,18 @@ denseCensus()
 }
 
 harness::SparseCensusResult
-sparseCensusWith(scaling::SamplerKind sampler)
+sparseCensus()
 {
     harness::SparseCensusOptions options;
     options.samples = kTenPercentBudget;
-    options.sampler = sampler;
     options.seed = 0;
     return harness::runSparseCensus(gpu::AnalyticModel{},
                                     std::nullopt, options);
 }
 
-void
-checkGate(scaling::SamplerKind sampler)
+TEST(SparseAccuracyTest, LhsMeetsGateAtTenPercent)
 {
-    const auto sparse = sparseCensusWith(sampler);
+    const auto sparse = sparseCensus();
     ASSERT_EQ(sparse.reconstructions.size(),
               denseCensus().classifications.size());
 
@@ -79,8 +76,8 @@ checkGate(scaling::SamplerKind sampler)
         const char *flagged =
             rec.band_crosses_boundary ? "banded" : "UNBANDED";
         EXPECT_TRUE(rec.band_crosses_boundary)
-            << scaling::samplerKindName(sampler) << " k=" << kTenPercentBudget
-            << ": " << rec.cls.kernel << " sparse="
+            << "k=" << kTenPercentBudget << ": " << rec.cls.kernel
+            << " sparse="
             << scaling::taxonomyClassName(rec.cls.cls) << " dense="
             << scaling::taxonomyClassName(it->second->cls)
             << " confidence=" << rec.confidence << " (" << flagged
@@ -90,22 +87,12 @@ checkGate(scaling::SamplerKind sampler)
     const double agreement =
         harness::sparseAgreement(sparse, denseCensus().classifications);
     EXPECT_GE(agreement, 0.95)
-        << scaling::samplerKindName(sampler) << " sampler at "
-        << kTenPercentBudget << "/" << denseCensus().space.size()
+        << "lhs sampler at " << kTenPercentBudget << "/"
+        << denseCensus().space.size()
         << " samples: " << disagreements << " of "
         << sparse.reconstructions.size()
         << " kernels disagree with the dense census (" << unbanded
         << " without a boundary-crossing band)";
-}
-
-TEST(SparseAccuracyTest, LhsMeetsGateAtTenPercent)
-{
-    checkGate(scaling::SamplerKind::Lhs);
-}
-
-TEST(SparseAccuracyTest, ActiveMeetsGateAtTenPercent)
-{
-    checkGate(scaling::SamplerKind::Active);
 }
 
 TEST(SparseAccuracyTest, AgreementStatisticIsExactOnSelf)
@@ -113,7 +100,7 @@ TEST(SparseAccuracyTest, AgreementStatisticIsExactOnSelf)
     // sparseAgreement() compared against the sparse census's own
     // classifications must be exactly 1.0 — the statistic itself
     // cannot leak error into the gate.
-    const auto sparse = sparseCensusWith(scaling::SamplerKind::Lhs);
+    const auto sparse = sparseCensus();
     EXPECT_EQ(harness::sparseAgreement(sparse, sparse.classifications),
               1.0);
 }

@@ -102,6 +102,37 @@ TEST(JsonParserTest, RejectsMalformedInput)
     EXPECT_THROW(parseJson("\"unterminated"), std::runtime_error);
 }
 
+TEST(JsonParserTest, NestingIsBoundedByMaxDepth)
+{
+    const auto nested = [](size_t depth, char open, char close) {
+        return std::string(depth, open) + std::string(depth, close);
+    };
+    // The limit itself parses, for arrays and objects alike.
+    EXPECT_TRUE(parseJson(nested(kMaxJsonDepth, '[', ']')).isArray());
+    std::string objects;
+    for (size_t d = 0; d < kMaxJsonDepth; ++d)
+        objects += "{\"a\":";
+    objects += "1" + std::string(kMaxJsonDepth, '}');
+    EXPECT_TRUE(parseJson(objects).isObject());
+
+    // One level deeper fails with the parser's usual error.
+    EXPECT_THROW(parseJson(nested(kMaxJsonDepth + 1, '[', ']')),
+                 std::runtime_error);
+    EXPECT_THROW(parseJson("{\"a\":" + objects + "}"),
+                 std::runtime_error);
+
+    // A frame of 200,000 '[' overflowed the recursive parser's stack
+    // before the limit existed; now it is an ordinary parse error.
+    try {
+        parseJson(std::string(200000, '['));
+        ADD_FAILURE() << "deep nesting parsed";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(JsonLocaleTest, NumbersRoundTripUnderCommaDecimalLocale)
 {
     // Under a comma-decimal LC_NUMERIC locale, printf-family "%g"

@@ -5,7 +5,7 @@
  * The estimator's contract (docs/prediction.md) is behavioural, so
  * the tests are too: a full-grid fit must reproduce the dense census
  * bitwise, reconstructions must not care about sample order, and the
- * seeded sample planners must pick identical sequences across runs
+ * seeded sample planner must pick identical sequences across runs
  * and across threads (`ctest -j` runs this binary concurrently with
  * the rest of the suite).
  */
@@ -134,6 +134,15 @@ TEST(SparsePredictorTest, LhsPlanIsDeterministicDistinctAndCovering)
     EXPECT_EQ(plan_a, plan_b);
     EXPECT_EQ(plan_a.size(), 14u);
 
+    // Re-planning must pick the identical sequence when several plans
+    // run concurrently on the worker pool too (the ctest -j regime):
+    // the planner may share no hidden mutable state.
+    std::vector<std::vector<size_t>> plans(8);
+    harness::parallelFor(plans.size(),
+                         [&](size_t p) { plans[p] = a.lhsPlan(14); });
+    for (const auto &plan : plans)
+        EXPECT_EQ(plan, plan_a);
+
     const std::set<size_t> distinct(plan_a.begin(), plan_a.end());
     EXPECT_EQ(distinct.size(), plan_a.size());
 
@@ -174,32 +183,6 @@ TEST(SparsePredictorTest, AnchorsAreTheClassificationSlices)
     EXPECT_EQ(predictor.minSamples(), anchors.size() + 1);
 }
 
-TEST(SparsePredictorTest, ActivePlanIdenticalAcrossRunsAndThreads)
-{
-    const auto space = gpu::ConfigGrid::testGrid();
-    const SparsePredictor predictor(space);
-    const auto dense = denseSurface("rodinia/bfs/kernel2");
-    const auto measure = [&](size_t flat) {
-        return dense.runtimes()[flat];
-    };
-
-    const auto reference = predictor.activePlan(14, measure);
-    EXPECT_EQ(reference.size(), 14u);
-    const std::set<size_t> distinct(reference.begin(),
-                                    reference.end());
-    EXPECT_EQ(distinct.size(), reference.size());
-
-    // Re-planning must pick the identical sequence, including when
-    // several plans run concurrently on the worker pool (the ctest -j
-    // regime): the planner may share no hidden mutable state.
-    std::vector<std::vector<size_t>> plans(8);
-    harness::parallelFor(plans.size(), [&](size_t p) {
-        plans[p] = predictor.activePlan(14, measure);
-    });
-    for (const auto &plan : plans)
-        EXPECT_EQ(plan, reference);
-}
-
 TEST(SparsePredictorTest, MeasuredPointsPassThroughWithZeroBands)
 {
     const auto space = gpu::ConfigGrid::testGrid();
@@ -232,14 +215,9 @@ TEST(SparsePredictorTest, MeasuredPointsPassThroughWithZeroBands)
 
 TEST(SparsePredictorTest, SamplerKindNamesRoundTrip)
 {
-    SamplerKind kind = SamplerKind::Active;
-    EXPECT_TRUE(parseSamplerKind("lhs", &kind));
-    EXPECT_EQ(kind, SamplerKind::Lhs);
-    EXPECT_TRUE(parseSamplerKind("active", &kind));
-    EXPECT_EQ(kind, SamplerKind::Active);
-    EXPECT_FALSE(parseSamplerKind("sobol", &kind));
+    // The name is part of every sparse journal record, so it must
+    // not change while journals written with it exist.
     EXPECT_EQ(samplerKindName(SamplerKind::Lhs), "lhs");
-    EXPECT_EQ(samplerKindName(SamplerKind::Active), "active");
 }
 
 class SparsePredictorFatalTest : public ::testing::Test
@@ -253,19 +231,12 @@ TEST_F(SparsePredictorFatalTest, RejectsBadBudgetsAndSamples)
 {
     const auto space = gpu::ConfigGrid::testGrid();
     const SparsePredictor predictor(space);
-    const auto dense = denseSurface("rodinia/hotspot/calculate_temp");
-    const auto measure = [&](size_t flat) {
-        return dense.runtimes()[flat];
-    };
 
     // Budgets outside [minSamples, grid size].
     EXPECT_THROW(predictor.lhsPlan(predictor.minSamples() - 1),
                  std::runtime_error);
     EXPECT_THROW(predictor.lhsPlan(space.size() + 1),
                  std::runtime_error);
-    EXPECT_THROW(
-        predictor.activePlan(predictor.minSamples() - 1, measure),
-        std::runtime_error);
 
     // Malformed samples.
     const std::vector<size_t> one_idx{0};
