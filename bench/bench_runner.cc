@@ -7,9 +7,10 @@
  * single-thread SoA batched walk (the like-for-like >= 8x SIMD gate),
  * the per-stage split of the batched path (plan preparation vs the
  * vectorized clock-pair kernel), and a warm repeat that exercises the
- * sweep cache, then emits BENCH_census.json so CI can archive wall
- * time, estimates/s, thread count, speedups, and cache hit rate per
- * commit.
+ * sweep cache, and the whole cold runCensus() (sweep, surface build
+ * and classification in one pool region; median and quartiles over
+ * --runs), then emits BENCH_census.json so CI can archive wall time,
+ * estimates/s, thread count, speedups, and cache hit rate per commit.
  *
  * Also times the census with a crash-safe checkpoint journal attached
  * and emits BENCH_resilience.json; the journal's write overhead vs
@@ -65,6 +66,7 @@
 #include <vector>
 
 #include "base/logging.hh"
+#include "base/math_util.hh"
 #include "base/string_util.hh"
 #include "bench_common.hh"
 #include "harness/checkpoint.hh"
@@ -335,6 +337,32 @@ run(const RunnerOptions &opts)
                 warm.min_s, hit_rate, hits, lookups);
 
     //
+    // 3b. The whole census as `gpuscale census` runs it, cold: sweep,
+    //     surface build and classification.  Reported as median and
+    //     quartiles, so a change shows against the run-to-run spread.
+    //
+    std::vector<double> census_s;
+    for (int i = 0; i < opts.warmup + opts.runs; ++i) {
+        harness::SweepCache::instance().clear();
+        const auto t0 = std::chrono::steady_clock::now();
+        const auto census = harness::runCensus(model, space);
+        const double s = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+        fatal_if(census.classifications.size() != kernels.size(),
+                 "census classified %zu of %zu kernels",
+                 census.classifications.size(), kernels.size());
+        if (i >= opts.warmup)
+            census_s.push_back(s);
+    }
+    const double census_p25 = percentile(census_s, 25.0);
+    const double census_p50 = percentile(census_s, 50.0);
+    const double census_p75 = percentile(census_s, 75.0);
+    std::printf("cold runCensus: median %.4f s (IQR %.4f-%.4f) over "
+                "%zu runs\n",
+                census_p50, census_p25, census_p75, census_s.size());
+
+    //
     // 4. Resilience gate: the full census (sweep + classification —
     //    what `gpuscale census` runs and what a user checkpoints)
     //    with and without the crash-safe journal, in interleaved
@@ -406,6 +434,13 @@ run(const RunnerOptions &opts)
     w.key("stage3_kernel");
     writeTiming(w, stage3, estimates);
     w.key("speedup_single_core").value(speedup_single_core);
+    w.key("census_run");
+    w.beginObject();
+    w.key("runs").value(static_cast<uint64_t>(census_s.size()));
+    w.key("median_s").value(census_p50);
+    w.key("p25_s").value(census_p25);
+    w.key("p75_s").value(census_p75);
+    w.endObject();
     w.key("cache");
     w.beginObject();
     w.key("warm_run_s").value(warm.min_s);

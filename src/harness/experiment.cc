@@ -10,7 +10,6 @@
 
 #include "base/logging.hh"
 #include "obs/trace.hh"
-#include "parallel.hh"
 #include "workloads/registry.hh"
 
 namespace gpuscale {
@@ -32,18 +31,16 @@ runCensus(const gpu::PerfModel &model,
     debuglog("census: %zu kernels x %zu configs with model '%s'",
              kernels.size(), census.space.size(),
              model.name().c_str());
-    census.surfaces = sweepKernels(model, kernels, census.space,
-                                   progress, journal, cancel);
-    {
-        // Each surface classifies independently, so the pool fills
-        // pre-sized slots; the result is the classifyAll() vector.
-        GPUSCALE_TRACE_SCOPE("census.classify");
-        census.classifications.resize(census.surfaces.size());
-        parallelFor(census.surfaces.size(), [&](size_t k) {
+    // One pool region: each worker classifies the surface it just
+    // built into a pre-sized slot, so the result is the classifyAll()
+    // vector.
+    census.classifications.resize(kernels.size());
+    census.surfaces = sweepKernels(
+        model, kernels, census.space, progress, journal, cancel,
+        [&](size_t k, const scaling::ScalingSurface &surface) {
             census.classifications[k] =
-                scaling::classifySurface(census.surfaces[k], params);
-        }, 0, cancel);
-    }
+                scaling::classifySurface(surface, params);
+        });
     return census;
 }
 

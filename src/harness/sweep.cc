@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 
 #include "base/fault.hh"
 #include "base/logging.hh"
@@ -111,40 +112,41 @@ sweepKernels(const gpu::PerfModel &model,
              const std::vector<const gpu::KernelDesc *> &kernels,
              const gpu::ConfigGrid &grid,
              obs::ProgressReporter *progress, CensusJournal *journal,
-             const CancelToken *cancel)
+             const CancelToken *cancel,
+             const std::function<void(size_t, const scaling::ScalingSurface &)>
+                 &step)
 {
     for (const auto *kernel : kernels)
         panic_if(kernel == nullptr, "sweepKernels: null kernel");
 
-    // One pool index per kernel; parallelFor() hands indices out in
-    // contiguous chunks, and results go to pre-sized slots so workers
-    // never contend.
-    std::vector<std::vector<double>> runtimes(kernels.size());
+    // One pool index per kernel does that kernel's whole pipeline;
+    // results go to pre-sized slots so workers never contend.
+    std::vector<std::optional<scaling::ScalingSurface>> slots(
+        kernels.size());
     parallelFor(kernels.size(), [&](size_t k) {
+        const gpu::KernelDesc &kernel = *kernels[k];
+        std::vector<double> runtimes;
         // Journal first: a replayed kernel skips the sweep (and the
-        // cache) entirely, and is not re-recorded.
-        if (journal != nullptr &&
-            journal->lookup(kernels[k]->name, runtimes[k])) {
-            if (progress != nullptr)
-                progress->tick();
-            return;
+        // cache) entirely, and is not re-recorded.  The cache key
+        // folds the whole descriptor (a few microseconds), so it is
+        // built in the worker, and only for kernels not replayed.
+        if (journal == nullptr || !journal->lookup(kernel.name, runtimes)) {
+            runtimes = sweepOne(model, kernel, grid,
+                                SweepCache::keyFor(model, kernel, grid));
+            if (journal != nullptr)
+                journal->record(kernel.name, runtimes);
         }
-        // The cache key folds the whole descriptor (a few
-        // microseconds), so it is built in the worker, and only for
-        // kernels the journal did not replay.
-        runtimes[k] = sweepOne(model, *kernels[k], grid,
-                               SweepCache::keyFor(model, *kernels[k], grid));
-        if (journal != nullptr)
-            journal->record(kernels[k]->name, runtimes[k]);
+        slots[k].emplace(kernel.name, grid, std::move(runtimes));
+        if (step)
+            step(k, *slots[k]);
         if (progress != nullptr)
             progress->tick();
     }, 0, cancel);
 
     std::vector<scaling::ScalingSurface> surfaces;
     surfaces.reserve(kernels.size());
-    for (size_t k = 0; k < kernels.size(); ++k) {
-        surfaces.emplace_back(kernels[k]->name, grid, std::move(runtimes[k]));
-    }
+    for (auto &slot : slots)
+        surfaces.push_back(std::move(*slot));
     return surfaces;
 }
 

@@ -10,6 +10,7 @@
 #ifndef GPUSCALE_HARNESS_SWEEP_HH
 #define GPUSCALE_HARNESS_SWEEP_HH
 
+#include <functional>
 #include <vector>
 
 #include "gpu/config_grid.hh"
@@ -37,9 +38,10 @@ scaling::ScalingSurface sweepKernel(const gpu::PerfModel &model,
                                     const gpu::ConfigGrid &grid);
 
 /**
- * Measure a batch of kernels; parallelFor() spreads the kernels over
- * the worker pool, and each kernel is evaluated as one batched grid
- * call through the SweepCache.
+ * Measure a batch of kernels in one parallelFor() region: each pool
+ * index replays its kernel from the journal or sweeps it (one batched
+ * grid call through the SweepCache), builds its surface and runs
+ * `step` on it.
  *
  * Each swept kernel records a "sweep/<name>" trace span and feeds the
  * sweep.estimate.latency histogram (see docs/observability.md).
@@ -49,12 +51,17 @@ scaling::ScalingSurface sweepKernel(const gpu::PerfModel &model,
  * kernel is appended — a killed run resumes where it stopped.
  *
  * @param kernels non-owning kernel pointers; all non-null.
- * @param progress optional reporter ticked once per finished kernel.
+ * @param progress optional reporter ticked once per finished kernel,
+ *        after its step.
  * @param journal optional checkpoint journal for crash-safe resume.
  * @param cancel optional cooperative-cancellation token (cancel.hh);
  *        an expired token aborts the sweep with CancelledError.
  *        Kernels already journaled stay journaled, so a cancelled
  *        sweep resumes exactly like a killed one.
+ * @param step optional work run on kernel k's surface in the worker
+ *        that built it, before its progress tick (runCensus()
+ *        classifies here); must be safe to run concurrently for
+ *        distinct k.
  */
 std::vector<scaling::ScalingSurface> sweepKernels(
     const gpu::PerfModel &model,
@@ -62,7 +69,9 @@ std::vector<scaling::ScalingSurface> sweepKernels(
     const gpu::ConfigGrid &grid,
     obs::ProgressReporter *progress = nullptr,
     CensusJournal *journal = nullptr,
-    const CancelToken *cancel = nullptr);
+    const CancelToken *cancel = nullptr,
+    const std::function<void(size_t k, const scaling::ScalingSurface &)>
+        &step = nullptr);
 
 } // namespace harness
 } // namespace gpuscale

@@ -421,7 +421,7 @@ SparsePredictor::reconstruct(const std::string &kernel_name,
     for (size_t s = 0; s < samples.size(); ++s)
         point[samples.flat[s]] = samples.runtime[s];
 
-    const auto members = ensembleSurfaces(kernel_name, samples);
+    auto members = ensembleSurfaces(kernel_name, samples);
 
     std::vector<double> lower = point;
     std::vector<double> upper = point;
@@ -445,9 +445,10 @@ SparsePredictor::reconstruct(const std::string &kernel_name,
 
     size_t votes = 0;
     bool member_crosses = false;
-    for (size_t m = 0; m < members.size(); ++m) {
+    // The envelope is built, so each member moves into its surface.
+    for (auto &member : members) {
         const KernelClassification mc = classifySurface(
-            ScalingSurface(kernel_name, space_, members[m]), params);
+            ScalingSurface(kernel_name, space_, std::move(member)), params);
         if (mc.cls == out.cls.cls)
             ++votes;
         else
@@ -467,14 +468,17 @@ SparsePredictor::reconstruct(const std::string &kernel_name,
     // so the anchor curves (and the shape verdicts read from them)
     // are untouched; only the range statistic moves.
     const std::vector<double> &estimate = out.surface.runtimes();
+    std::vector<double> log_estimate(estimate.size());
     double mean_log = 0.0;
-    for (size_t j = 0; j < estimate.size(); ++j)
-        mean_log += std::log(estimate[j]);
+    for (size_t j = 0; j < estimate.size(); ++j) {
+        log_estimate[j] = std::log(estimate[j]);
+        mean_log += log_estimate[j];
+    }
     mean_log /= static_cast<double>(estimate.size());
     std::vector<double> spread(estimate.size());
     std::vector<double> shrunk(estimate.size());
     for (size_t j = 0; j < estimate.size(); ++j) {
-        const bool fast = std::log(estimate[j]) <= mean_log;
+        const bool fast = log_estimate[j] <= mean_log;
         spread[j] = fast ? out.lower[j] : out.upper[j];
         shrunk[j] = fast ? out.upper[j] : out.lower[j];
     }

@@ -7,12 +7,21 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <fstream>
 #include <optional>
+#include <set>
+#include <sstream>
 #include <string>
+#include <thread>
 
+#include "base/fault.hh"
 #include "gpu/analytic_model.hh"
 #include "harness/cancel.hh"
 #include "harness/parallel.hh"
+#include "obs/json.hh"
+#include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "workloads/registry.hh"
 
 namespace gpuscale {
@@ -143,6 +152,78 @@ TEST(ExperimentTest, ExpiredTokenCancelsWholeCensus)
                                     nullptr, &token),
                  CancelledError);
     EXPECT_FALSE(census.has_value());
+}
+
+TEST(ExperimentTest, CensusIsOneParallelRegion)
+{
+    // Each participant of a parallelFor region emits one
+    // parallel_for.worker span (one parallel_for.serial span on the
+    // serial path), so a one-region census emits exactly as many as
+    // the region had workers; a separate classification region would
+    // double them.
+    const std::string path =
+        ::testing::TempDir() + "/census_region.trace.json";
+    obs::TraceSession::start(path);
+    const auto census =
+        runCensus(gpu::AnalyticModel{}, gpu::ConfigGrid::testGrid());
+    ASSERT_GT(obs::TraceSession::stop(), 0u);
+    ASSERT_EQ(census.classifications.size(), 267u);
+    const double workers =
+        obs::Registry::instance().gauge("parallel.workers").value();
+
+    std::ifstream is(path);
+    ASSERT_TRUE(is);
+    std::stringstream buffer;
+    buffer << is.rdbuf();
+    const obs::JsonValue doc = obs::parseJson(buffer.str());
+    const obs::JsonValue *events = doc.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+
+    size_t region_spans = 0;
+    for (const auto &ev : events->array) {
+        const obs::JsonValue *ph = ev.find("ph");
+        const obs::JsonValue *name = ev.find("name");
+        if (ph != nullptr && ph->str == "X" && name != nullptr &&
+            (name->str == "parallel_for.worker" ||
+             name->str == "parallel_for.serial"))
+            ++region_spans;
+    }
+    EXPECT_GE(workers, 1.0);
+    EXPECT_EQ(static_cast<double>(region_spans), workers);
+}
+
+TEST(ExperimentTest, CancelDuringRegionLeavesNoCensus)
+{
+    // Every kernel sweep stalls, so the census is still inside its
+    // region when another thread cancels the token.
+    constexpr double kDelayMs = 5.0;
+    FaultInjector::instance().arm(
+        {{"sweep.kernel", 1.0, FaultKind::Delay, kDelayMs}}, 0);
+    CancelToken token;
+    std::optional<CensusResult> census;
+    std::thread canceller([&token] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        token.cancel();
+    });
+    EXPECT_THROW(census = runCensus(gpu::AnalyticModel{},
+                                    gpu::ConfigGrid::testGrid(),
+                                    scaling::TaxonomyParams{}, nullptr,
+                                    nullptr, &token),
+                 CancelledError);
+    canceller.join();
+    const uint64_t stalled =
+        FaultInjector::instance().fired(FaultKind::Delay);
+    FaultInjector::instance().disarm();
+    EXPECT_FALSE(census.has_value());
+    // The region was under way, and stopped short of the zoo.
+    EXPECT_GT(stalled, 0u);
+    EXPECT_LT(stalled, 267u);
+
+    // The pool and the cache survive the cancelled region.
+    const auto next =
+        runCensus(gpu::AnalyticModel{}, gpu::ConfigGrid::testGrid());
+    EXPECT_EQ(next.classifications.size(), 267u);
+    expectMatchesClassifyAll(next);
 }
 
 } // namespace

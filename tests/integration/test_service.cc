@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/types.h>
@@ -36,6 +37,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <system_error>
@@ -62,7 +64,10 @@ namespace {
 
 using namespace std::chrono_literals;
 
-/** Parse a response frame; ADD_FAILURE and null Type on a torn one. */
+/**
+ * Parse a response frame; ADD_FAILURE and null Type on a torn one.
+ * An object it returns always has "ok".
+ */
 obs::JsonValue
 parseFrame(const std::string &frame)
 {
@@ -74,6 +79,42 @@ parseFrame(const std::string &frame)
     }
     ADD_FAILURE() << "torn/garbled frame: " << frame;
     return obs::JsonValue{};
+}
+
+/**
+ * Follow `keys` through nested objects; nullptr when one is missing.
+ * JsonValue::at() would panic and abort the whole test process (and
+ * leave its daemon children running); a null here fails only the
+ * assertion that checks it.
+ */
+const obs::JsonValue *
+member(const obs::JsonValue &doc, std::initializer_list<const char *> keys)
+{
+    const obs::JsonValue *v = &doc;
+    for (const char *key : keys) {
+        v = v->find(key);
+        if (v == nullptr)
+            return nullptr;
+    }
+    return v;
+}
+
+/**
+ * fork() a daemon child that cannot outlive this process: the child
+ * gets SIGKILL when the parent dies, and exits at once if the parent
+ * died before the request took effect.
+ */
+pid_t
+forkDaemon()
+{
+    const pid_t parent = ::getpid();
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+        if (::getppid() != parent)
+            _exit(11);
+    }
+    return pid;
 }
 
 /** Block until health reports a loaded census (or fail the test). */
@@ -88,8 +129,8 @@ waitForCensus(service::Client &client, double budget_s)
         if (client.call("{\"id\":1,\"op\":\"health\"}", 2000.0,
                         &resp)) {
             const auto doc = parseFrame(resp);
-            if (doc.isObject() &&
-                doc.at("result").at("census_loaded").boolean)
+            const auto *loaded = member(doc, {"result", "census_loaded"});
+            if (loaded != nullptr && loaded->boolean)
                 return true;
         } else {
             client.connect(2000.0);
@@ -107,7 +148,7 @@ TEST(ServiceSaturation, FaultMatrixShedsTypedAndNeverHangs)
     test::ScopedTempDir dir("svc_sat");
     const std::string socket_path = dir.sub("gpuscaled.sock");
 
-    const pid_t child = fork();
+    const pid_t child = forkDaemon();
     ASSERT_NE(child, -1);
     if (child == 0) {
         // Child daemon: >=10% io faults across the socket and
@@ -228,14 +269,15 @@ TEST(ServiceSaturation, FaultMatrixShedsTypedAndNeverHangs)
                 const auto doc = parseFrame(resp);
                 if (!doc.isObject())
                     continue; // already failed as torn
-                if (doc.at("ok").boolean) {
+                if (member(doc, {"ok"})->boolean) {
                     ok_frames.fetch_add(1);
-                } else {
-                    typed_errors.fetch_add(1);
-                    if (doc.at("error").at("code").str ==
-                        "RETRY_AFTER")
-                        sheds.fetch_add(1);
+                    continue;
                 }
+                typed_errors.fetch_add(1);
+                const auto *code = member(doc, {"error", "code"});
+                EXPECT_NE(code, nullptr) << "untyped error: " << resp;
+                if (code != nullptr && code->str == "RETRY_AFTER")
+                    sheds.fetch_add(1);
             }
         });
     }
@@ -307,9 +349,9 @@ expectBadRequest(const std::string &frame, const std::string &what)
 {
     const auto doc = parseFrame(frame);
     ASSERT_TRUE(doc.isObject()) << what;
-    const auto *error = doc.find("error");
-    ASSERT_NE(error, nullptr) << what << ": " << frame;
-    EXPECT_EQ(error->at("code").str, "BAD_REQUEST") << what;
+    const auto *code = member(doc, {"error", "code"});
+    ASSERT_NE(code, nullptr) << what << ": " << frame;
+    EXPECT_EQ(code->str, "BAD_REQUEST") << what;
 }
 
 // The parser bounds (docs/service.md, "Limits"): a line longer than
@@ -323,7 +365,7 @@ TEST(ServiceLimits, OversizedAndDeepFramesGetBadRequest)
     test::ScopedTempDir dir("svc_limits");
     const std::string socket_path = dir.sub("gpuscaled.sock");
 
-    const pid_t child = fork();
+    const pid_t child = forkDaemon();
     ASSERT_NE(child, -1);
     if (child == 0) {
         service::ServiceOptions opts;
@@ -348,7 +390,7 @@ TEST(ServiceLimits, OversizedAndDeepFramesGetBadRequest)
         ASSERT_TRUE(client.call(request, 5000.0, &resp)) << what;
         const auto doc = parseFrame(resp);
         ASSERT_TRUE(doc.isObject()) << what;
-        EXPECT_TRUE(doc.at("ok").boolean) << what << ": " << resp;
+        EXPECT_TRUE(member(doc, {"ok"})->boolean) << what << ": " << resp;
     };
     expectServed(bystander, health, "before");
 
@@ -400,7 +442,7 @@ TEST(ServiceResume, KilledServiceResumesBitwise)
     const std::string sock1 = dir.sub("s1.sock");
     const std::string sock2 = dir.sub("s2.sock");
 
-    const pid_t victim = fork();
+    const pid_t victim = forkDaemon();
     ASSERT_NE(victim, -1);
     if (victim == 0) {
         // First daemon: slow journaled load (the delay fault stalls
@@ -443,7 +485,7 @@ TEST(ServiceResume, KilledServiceResumesBitwise)
 
     // Second daemon: same checkpoint dir, fresh socket.  Forked
     // before the parent creates any threads.
-    const pid_t revived = fork();
+    const pid_t revived = forkDaemon();
     ASSERT_NE(revived, -1);
     if (revived == 0) {
         service::ServiceOptions opts;
@@ -473,24 +515,31 @@ TEST(ServiceResume, KilledServiceResumesBitwise)
     ASSERT_TRUE(client.call("{\"id\":2,\"op\":\"health\"}", 5000.0,
                             &resp));
     const auto health = parseFrame(resp);
-    ASSERT_TRUE(health.isObject());
-    EXPECT_GT(health.at("result").at("journal_replayed").number, 0.0);
-    EXPECT_LT(health.at("result").at("journal_replayed").number,
-              267.0);
-    EXPECT_DOUBLE_EQ(health.at("result").at("kernels").number, 267.0);
+    const auto *replayed =
+        member(health, {"result", "journal_replayed"});
+    const auto *kernels = member(health, {"result", "kernels"});
+    ASSERT_NE(replayed, nullptr) << resp;
+    ASSERT_NE(kernels, nullptr) << resp;
+    EXPECT_GT(replayed->number, 0.0);
+    EXPECT_LT(replayed->number, 267.0);
+    EXPECT_DOUBLE_EQ(kernels->number, 267.0);
 
     // Every kernel, classified over the socket, must match the clean
     // census bitwise.  JsonWriter emits shortest-round-trip doubles,
     // so equality after a parse round trip is bitwise equality.
-    const auto checkVerdict = [](const obs::JsonValue &got,
+    const auto checkVerdict = [](const obs::JsonValue &result,
+                                 const char *axis,
                                  const scaling::ShapeVerdict &want,
                                  const std::string &kernel) {
-        EXPECT_EQ(got.at("shape").str, scaling::shapeName(want.shape))
-            << kernel;
-        EXPECT_EQ(got.at("total_gain").number, want.total_gain)
-            << kernel;
-        EXPECT_EQ(got.at("efficiency").number, want.efficiency)
-            << kernel;
+        const auto *shape = member(result, {axis, "shape"});
+        const auto *total_gain = member(result, {axis, "total_gain"});
+        const auto *efficiency = member(result, {axis, "efficiency"});
+        ASSERT_NE(shape, nullptr) << kernel << " " << axis;
+        ASSERT_NE(total_gain, nullptr) << kernel << " " << axis;
+        ASSERT_NE(efficiency, nullptr) << kernel << " " << axis;
+        EXPECT_EQ(shape->str, scaling::shapeName(want.shape)) << kernel;
+        EXPECT_EQ(total_gain->number, want.total_gain) << kernel;
+        EXPECT_EQ(efficiency->number, want.efficiency) << kernel;
     };
     for (const auto &want : clean.classifications) {
         std::ostringstream os;
@@ -500,20 +549,24 @@ TEST(ServiceResume, KilledServiceResumesBitwise)
             << want.kernel;
         const auto doc = parseFrame(resp);
         ASSERT_TRUE(doc.isObject()) << want.kernel;
-        ASSERT_TRUE(doc.at("ok").boolean)
+        ASSERT_TRUE(member(doc, {"ok"})->boolean)
             << want.kernel << ": " << resp;
-        const auto &result = doc.at("result");
-        EXPECT_EQ(result.at("class").str,
-                  scaling::taxonomyClassName(want.cls))
+        const auto *result = member(doc, {"result"});
+        ASSERT_NE(result, nullptr) << want.kernel << ": " << resp;
+        const auto *cls = member(*result, {"class"});
+        const auto *perf_range = member(*result, {"perf_range"});
+        const auto *cu90 = member(*result, {"cu90"});
+        ASSERT_NE(cls, nullptr) << want.kernel << ": " << resp;
+        ASSERT_NE(perf_range, nullptr) << want.kernel << ": " << resp;
+        ASSERT_NE(cu90, nullptr) << want.kernel << ": " << resp;
+        EXPECT_EQ(cls->str, scaling::taxonomyClassName(want.cls))
             << want.kernel;
-        EXPECT_EQ(result.at("perf_range").number, want.perf_range)
+        EXPECT_EQ(perf_range->number, want.perf_range) << want.kernel;
+        EXPECT_DOUBLE_EQ(cu90->number, static_cast<double>(want.cu90))
             << want.kernel;
-        EXPECT_DOUBLE_EQ(result.at("cu90").number,
-                         static_cast<double>(want.cu90))
-            << want.kernel;
-        checkVerdict(result.at("freq"), want.freq, want.kernel);
-        checkVerdict(result.at("mem"), want.mem, want.kernel);
-        checkVerdict(result.at("cu"), want.cu, want.kernel);
+        checkVerdict(*result, "freq", want.freq, want.kernel);
+        checkVerdict(*result, "mem", want.mem, want.kernel);
+        checkVerdict(*result, "cu", want.cu, want.kernel);
     }
 
     // Drain the revived daemon; a clean exit closes the journal too.
